@@ -9,8 +9,9 @@
 //! tier — and asserts two floors on the straight-line user-mode workload:
 //! the decode path at ≥2× the slow path (the PR 5 floor) and the warm
 //! superblock tier at ≥3× the decode path. The checker section reports
-//! states/sec under exact vs fingerprint dedup with report equality
-//! asserted. `BENCH_obs_e10_hotpath.json` keeps the deterministic sections
+//! the sharded checker's states/sec and its 16-byte-per-state seen-set,
+//! with the report asserted equal to the reference checker's.
+//! `BENCH_obs_e10_hotpath.json` keeps the deterministic sections
 //! (instruction counts, cache counters, checker reports) apart from
 //! wall-clock timing.
 
@@ -21,7 +22,6 @@ use sep_machine::asm::assemble;
 use sep_machine::mmu::{Access, SegmentDescriptor};
 use sep_machine::psw::Mode;
 use sep_machine::Machine;
-use sep_model::fp::Dedup;
 use sep_obs::report::hotpath_json;
 use sep_obs::RunReport;
 
@@ -244,60 +244,41 @@ fn main() {
     }
 
     // -------------------------------------------------------------------
-    // Checker: exact vs fingerprint seen-sets at 4 shards.
+    // Checker: the sharded checker's fingerprint seen-set at 4 shards.
     // -------------------------------------------------------------------
-    println!("\n## checker: {SHARDS}-shard runs, exact vs fingerprint seen-sets\n");
-    header(&[
-        "workload",
-        "states",
-        "exact ms",
-        "fp ms",
-        "exact st/s",
-        "fp st/s",
-        "fp bytes",
-    ]);
+    println!("\n## checker: {SHARDS}-shard runs, fingerprint seen-sets\n");
+    header(&["workload", "states", "ms", "st/s", "fp bytes"]);
     for name in ["registers_4", "memory_3"] {
-        let build = || match name {
+        let sys = KernelSystem::new(match name {
             "registers_4" => register_workload(4),
             _ => memory_workload(3),
-        };
-        let check = |dedup| {
-            let sys = KernelSystem::new(build()).unwrap().with_dedup(dedup);
-            timed(|| sys.check_with_stats(&CheckerSelect::Sharded { shards: SHARDS }))
-        };
-        let ((exact_rep, exact_stats), exact_ms) = check(Dedup::Exact);
-        let ((fp_rep, fp_stats), fp_ms) = check(Dedup::Fingerprint);
+        })
+        .unwrap();
+        let ((rep, stats), ms) =
+            timed(|| sys.check_with_stats(&CheckerSelect::Sharded { shards: SHARDS }));
+        let reference = sys.check_with(&CheckerSelect::Sequential);
         assert_eq!(
-            exact_rep, fp_rep,
-            "{name}: fingerprint dedup changed the report"
+            rep, reference,
+            "{name}: sharded report diverged from the reference"
         );
-        let fp_stats = fp_stats.expect("sharded runs report stats");
-        let exact_stats = exact_stats.expect("sharded runs report stats");
-        assert_eq!(fp_stats.fp_states, fp_rep.states as u64);
-        assert_eq!(exact_stats.fp_states, 0);
+        let stats = stats.expect("sharded runs report stats");
+        assert_eq!(stats.fp_bytes, 16 * rep.states as u64);
         row(&[
             name.into(),
-            fp_rep.states.to_string(),
-            format!("{exact_ms:.0}"),
-            format!("{fp_ms:.0}"),
-            format!("{:.0}", fp_rep.states as f64 / (exact_ms / 1000.0)),
-            format!("{:.0}", fp_rep.states as f64 / (fp_ms / 1000.0)),
-            fp_stats.fp_bytes.to_string(),
+            rep.states.to_string(),
+            format!("{ms:.0}"),
+            format!("{:.0}", rep.states as f64 / (ms / 1000.0)),
+            stats.fp_bytes.to_string(),
         ]);
         report = report
             .run_custom(
                 &format!("checker_{name}"),
-                checker_run_json(&fp_rep, Some(&fp_stats)),
-            )
-            .wall(
-                &format!("checker_{name}_exact_states_per_sec"),
-                fp_rep.states as f64 / (exact_ms / 1000.0),
+                checker_run_json(&rep, Some(&stats)),
             )
             .wall(
                 &format!("checker_{name}_fp_states_per_sec"),
-                fp_rep.states as f64 / (fp_ms / 1000.0),
-            )
-            .wall(&format!("checker_{name}_fp_speedup"), exact_ms / fp_ms);
+                rep.states as f64 / (ms / 1000.0),
+            );
     }
 
     let out = "BENCH_obs_e10_hotpath.json";

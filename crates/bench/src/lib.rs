@@ -136,7 +136,7 @@ start:  TRAP 0
 /// A checker run as deterministic JSON for a `BENCH_obs_*.json` report:
 /// the state/op/input counts, per-condition check counters, verdict, the
 /// violated conditions, and (for sharded runs) the exploration statistics
-/// including per-shard ownership and spill counters. Contains no
+/// including per-shard ownership and reduction counters. Contains no
 /// wall-clock values, so identical runs serialize to identical bytes.
 pub fn checker_run_json(report: &CheckReport, stats: Option<&ExploreStats>) -> Json {
     let mut j = Json::obj()
@@ -164,9 +164,9 @@ pub fn checker_run_json(report: &CheckReport, stats: Option<&ExploreStats>) -> J
         j = j
             .field("shards", s.shards)
             .field("levels", s.levels)
+            .field("threaded_levels", s.threaded_levels)
             .field("max_frontier", s.max_frontier)
             .field("truncated", s.truncated)
-            .field("fp_states", s.fp_states)
             .field("fp_bytes", s.fp_bytes)
             .field(
                 "reduction",
@@ -187,8 +187,6 @@ pub fn checker_run_json(report: &CheckReport, stats: Option<&ExploreStats>) -> J
                                 .field("owned", sh.owned)
                                 .field("expanded", sh.expanded)
                                 .field("routed", sh.routed)
-                                .field("spilled", sh.spilled)
-                                .field("spill_runs", sh.spill_runs)
                         })
                         .collect(),
                 ),

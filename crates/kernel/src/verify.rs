@@ -24,14 +24,16 @@
 use crate::config::{KernelConfig, Mutation, ProgramSpec, RegimeSpec, SchedPolicy};
 use crate::kernel::{KernelError, SeparationKernel};
 use crate::regime::{RegimeStatus, SaveArea, PARTITION_SIZE};
+use sep_machine::asm::assemble;
 use sep_machine::dev::InterruptRequest;
 use sep_machine::psw::{Mode, Psw};
 use sep_machine::types::Word;
 use sep_model::abstraction::Abstraction;
-use sep_model::canon::{Ample, Reduction, ReductionStats};
+use sep_model::canon::{Ample, Reduction};
 use sep_model::check::{CheckReport, SeparabilityChecker};
+use sep_model::explore::reachable_states;
 use sep_model::fp::{fingerprint, Dedup};
-use sep_model::parallel::{ExploreStats, ParallelSeparabilityChecker, SpillConfig};
+use sep_model::parallel::{ExploreStats, ParallelSeparabilityChecker};
 use sep_model::system::{Finite, Projected, SharedSystem};
 use std::hash::{Hash, Hasher};
 
@@ -117,10 +119,10 @@ pub struct KernelSystem {
     /// Whether [`KOp::Fault`] is in the op set and exploration additionally
     /// starts from each per-regime pre-faulted initial state.
     pub fault_ops: bool,
-    /// Exploration seen-set policy: 128-bit fingerprints (default) or full
-    /// resident states. Both give the same exploration order and verdicts
-    /// (pinned by the hotpath differential suite); exact dedup trades
-    /// memory for immunity to fingerprint collisions.
+    /// Seen-set policy of the sharded checker: 128-bit fingerprints
+    /// (default), optionally behind a Bloom pre-filter. The reference
+    /// checker ([`CheckerSelect::Sequential`]) always deduplicates by full
+    /// state and ignores it.
     pub dedup: Dedup,
     /// Regime-symmetry reduction: when the configuration is rotation
     /// symmetric (see [`KernelSystem::valid_rotations`]), explore orbit
@@ -174,7 +176,8 @@ impl KernelSystem {
         })
     }
 
-    /// Selects the exploration seen-set policy (fingerprint vs exact).
+    /// Selects the sharded checker's seen-set policy (plain fingerprints
+    /// or fingerprints behind a Bloom pre-filter).
     pub fn with_dedup(mut self, dedup: Dedup) -> KernelSystem {
         self.dedup = dedup;
         self
@@ -188,7 +191,8 @@ impl KernelSystem {
         self
     }
 
-    /// Toggles the partial-order (ample-set) reduction.
+    /// Toggles the partial-order (ample-set) reduction. Like symmetry it
+    /// applies to the sharded explorer only.
     pub fn with_por(mut self, on: bool) -> KernelSystem {
         self.por = on;
         self
@@ -321,8 +325,8 @@ impl KernelSystem {
     ///   slots);
     /// * no [`Mutation::ScratchInPartition`] (it pins slot 0 as scratch);
     /// * assembly programs only, pairwise equal under the rotation, with no
-    ///   `TRAP 4` (MYID answers the slot identity) and no `logical`
-    ///   override;
+    ///   assembled `TRAP 4` word (MYID answers the slot identity) and no
+    ///   `logical` override;
     /// * the input alphabet closed under the rotation, so every explored
     ///   trajectory's relabelling is again a trajectory.
     pub fn valid_rotations(&self) -> Vec<usize> {
@@ -422,33 +426,12 @@ impl KernelSystem {
         f(&reduction)
     }
 
-    /// Enumerates the (possibly reduced) reachable state space with the
-    /// sequential explorer, returning the states and the reduction
-    /// counters.
-    pub fn explore_sequential(&self) -> (Vec<KernelState>, ReductionStats) {
-        self.with_reduction(|red| {
-            let (states, truncated, stats) = sep_model::explore::reachable_states_reduced(
-                self,
-                &self.initial_states(),
-                &self.inputs,
-                self.state_limit,
-                self.dedup,
-                red,
-            );
-            assert!(
-                !truncated,
-                "kernel state space exceeded limit {}",
-                self.state_limit
-            );
-            (states, stats)
-        })
-    }
-
-    /// Like [`KernelSystem::explore_sequential`] with the sharded explorer;
-    /// the returned [`ExploreStats`] carry the reduction counters.
+    /// Enumerates the reachable state space with the sharded explorer,
+    /// reduced as the symmetry, partial-order and dedup knobs select; the
+    /// returned [`ExploreStats`] carry the reduction counters.
     pub fn explore_sharded(&self, shards: usize) -> (Vec<KernelState>, ExploreStats) {
         self.with_reduction(|red| {
-            let (states, stats) = sep_model::parallel::par_reachable_states_reduced(
+            let (states, stats) = sep_model::parallel::par_explore(
                 self,
                 &self.initial_states(),
                 &self.inputs,
@@ -475,7 +458,7 @@ fn rotation_equal(a: &RegimeSpec, b: &RegimeSpec) -> bool {
         return false;
     };
     sa == sb
-        && !source_asks_identity(sa)
+        && !program_asks_identity(sa)
         && a.logical.is_none()
         && b.logical.is_none()
         && a.devices == b.devices
@@ -483,20 +466,25 @@ fn rotation_equal(a: &RegimeSpec, b: &RegimeSpec) -> bool {
         && a.watchdog == b.watchdog
 }
 
-/// Conservative scan for `TRAP 4` (MYID): any TRAP line mentioning a `4`
-/// disqualifies the program from symmetry, comments included.
-fn source_asks_identity(src: &str) -> bool {
-    src.lines().any(|line| {
-        let line = line.trim();
-        line.contains("TRAP") && line.split(';').next().unwrap_or("").contains('4')
-    })
+/// The assembled `TRAP 4` instruction: the MYID syscall.
+const TRAP_MYID: Word = 0o104404;
+
+/// Whether a program may ask MYID, decided on the assembled words so that
+/// mnemonic case and label operands cannot hide a `TRAP 4`: any
+/// `0o104404` word disqualifies the program from symmetry, data included,
+/// and so does source that fails to assemble.
+fn program_asks_identity(src: &str) -> bool {
+    match assemble(src) {
+        Ok(program) => program.words.contains(&TRAP_MYID),
+        Err(_) => true,
+    }
 }
 
 /// The canonical orbit fingerprint of a state: the minimum, over the
 /// identity and every valid rotation `k`, of the fingerprint of the
 /// kernel's rotation-invariant [`SeparationKernel::symmetry_vector`].
-/// States equal up to a valid rotation share this key, so the explorers'
-/// seen-sets collapse each orbit to its first-discovered member.
+/// States equal up to a valid rotation share this key, so the sharded
+/// explorer's seen-sets collapse each orbit to its first-discovered member.
 pub fn canon_key(rotations: &[usize], s: &KernelState) -> u128 {
     let mut best = fingerprint(&s.kernel.symmetry_vector(0));
     for &k in rotations {
@@ -583,11 +571,20 @@ impl Projected for KernelSystem {
 }
 
 impl Finite for KernelSystem {
+    /// The reference state set: every reachable state, found by the naive
+    /// exact-dedup explorer. The symmetry, partial-order and dedup knobs
+    /// do not apply here — the sequential checker always covers the
+    /// unreduced space, which is what makes it the oracle for the sharded
+    /// checker's reductions.
     fn states(&self) -> Vec<KernelState> {
-        // The sequential checker enumerates through here, so the symmetry
-        // and partial-order knobs reduce it exactly as they reduce the
-        // sharded checker.
-        self.explore_sequential().0
+        let (states, truncated) =
+            reachable_states(self, &self.initial_states(), &self.inputs, self.state_limit);
+        assert!(
+            !truncated,
+            "kernel state space exceeded limit {}",
+            self.state_limit
+        );
+        states
     }
 
     fn inputs(&self) -> Vec<KInput> {
@@ -605,25 +602,25 @@ impl Finite for KernelSystem {
 
 /// Which Proof of Separability checker to run over a [`KernelSystem`].
 ///
-/// Every selection produces an *identical* [`CheckReport`] — same check
-/// counts, same violations in the same order — which the differential test
-/// suite (`crates/model/tests/differential_checker.rs`) pins for every
-/// workload, mutation, and shard count.
+/// With the reductions off, both selections produce an *identical*
+/// [`CheckReport`] — same check counts, same violations in the same order —
+/// which the differential test suite
+/// (`crates/model/tests/differential_checker.rs`) pins for every workload,
+/// mutation, and shard count. With symmetry or partial order on, the
+/// sharded checker covers a reduced state set and must reach the same
+/// verdict and violated conditions as the reference
+/// (`crates/model/tests/reduction_differential.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckerSelect {
-    /// The single-threaded reference checker.
+    /// The single-threaded reference checker over the unreduced state set
+    /// of the naive exact-dedup explorer, whatever the symmetry, partial
+    /// order and dedup knobs say.
     Sequential,
-    /// The frontier-sharded parallel checker with `shards` worker threads.
+    /// The frontier-sharded checker with `shards` worker threads: the
+    /// production path, reduced as the knobs select.
     Sharded {
         /// Worker/owner thread pairs.
         shards: usize,
-    },
-    /// Sharded, with the seen-set spilling to disk during exploration.
-    ShardedSpill {
-        /// Worker/owner thread pairs.
-        shards: usize,
-        /// Resident states per shard before a flush to disk.
-        max_resident: usize,
     },
 }
 
@@ -634,39 +631,21 @@ impl KernelSystem {
     }
 
     /// Like [`KernelSystem::check_with`], additionally returning the
-    /// exploration statistics (frontier depth, per-shard ownership, spill
-    /// counters) when a sharded checker ran.
+    /// exploration statistics (frontier depth, per-shard ownership,
+    /// reduction counters) when the sharded checker ran.
     pub fn check_with_stats(&self, sel: &CheckerSelect) -> (CheckReport, Option<ExploreStats>) {
         let abstractions = self.abstractions();
-        match sel {
+        let shards = match sel {
             CheckerSelect::Sequential => {
-                (SeparabilityChecker::new().check(self, &abstractions), None)
+                return (SeparabilityChecker::new().check(self, &abstractions), None)
             }
-            CheckerSelect::Sharded { shards } => self.run_sharded(
-                ParallelSeparabilityChecker::new(*shards).with_dedup(self.dedup),
-                &abstractions,
-            ),
-            CheckerSelect::ShardedSpill {
-                shards,
-                max_resident,
-            } => self.run_sharded(
-                ParallelSeparabilityChecker::new(*shards)
-                    .with_spill(SpillConfig::new(*max_resident))
-                    .with_dedup(self.dedup),
-                &abstractions,
-            ),
-        }
-    }
-
-    fn run_sharded(
-        &self,
-        checker: ParallelSeparabilityChecker,
-        abstractions: &[RegimeAbstraction],
-    ) -> (CheckReport, Option<ExploreStats>) {
+            CheckerSelect::Sharded { shards } => *shards,
+        };
+        let checker = ParallelSeparabilityChecker::new(shards).with_dedup(self.dedup);
         let (report, stats) = self.with_reduction(|red| {
             checker.check_explored_reduced(
                 self,
-                abstractions,
+                &abstractions,
                 &self.initial_states(),
                 self.state_limit,
                 red,
@@ -1083,15 +1062,9 @@ start:  ADD #2, R1
         let sys = KernelSystem::new(two_bounded_counters()).unwrap();
         let (seq, no_stats) = sys.check_with_stats(&CheckerSelect::Sequential);
         assert!(no_stats.is_none());
-        for sel in [
-            CheckerSelect::Sharded { shards: 2 },
-            CheckerSelect::ShardedSpill {
-                shards: 2,
-                max_resident: 8,
-            },
-        ] {
-            let (par, stats) = sys.check_with_stats(&sel);
-            assert_eq!(seq, par, "selection {sel:?}");
+        for shards in [1, 2] {
+            let (par, stats) = sys.check_with_stats(&CheckerSelect::Sharded { shards });
+            assert_eq!(seq, par, "shards {shards}");
             let stats = stats.expect("sharded runs report stats");
             assert_eq!(stats.states, seq.states);
         }

@@ -12,7 +12,11 @@
 //!   name-free single-hash-per-partition path: hashing regime names (or
 //!   re-hashing partitions per rotation candidate) would stop
 //!   rotated-but-equal states from colliding in the seen-set and the
-//!   reduction would silently prune nothing.
+//!   reduction would silently prune nothing;
+//! * the symmetry reduction's MYID guard used to scan the source for an
+//!   upper-case `TRAP` mentioning a `4`, so a lower-case `trap 4` (the
+//!   assembler upper-cases mnemonics) or a `TRAP label` resolving to 4 let
+//!   a program that asks its slot identity be rotated.
 
 use sep_kernel::channel::ChannelStatus;
 use sep_kernel::config::{ChannelSpec, DeviceSpec, KernelConfig, RegimeSpec};
@@ -266,13 +270,44 @@ fn symmetry_reduces_the_symmetric_exploration() {
     let plain = KernelSystem::new(symmetric_config(3, "peer"))
         .unwrap()
         .with_input_bytes(&[1]);
-    let (full, _) = plain.explore_sequential();
-    let (reduced, stats) = symmetric_system(3, "peer").explore_sequential();
-    assert!(stats.canon, "canon not engaged");
+    let full = plain.states();
+    let (reduced, stats) = symmetric_system(3, "peer").explore_sharded(1);
+    assert!(stats.reduction.canon, "canon not engaged");
     assert!(
         reduced.len() * 2 <= full.len(),
         "symmetry barely pruned: {} of {}",
         reduced.len(),
         full.len()
     );
+}
+
+/// Two identical regimes running `prog`, with no inputs beyond the null one.
+fn identical_pair(prog: &str) -> KernelSystem {
+    KernelSystem::new(KernelConfig::new(vec![
+        RegimeSpec::assembly("a", prog),
+        RegimeSpec::assembly("b", prog),
+    ]))
+    .unwrap()
+}
+
+/// A program that asks MYID names its slot, so no rotation may relabel it
+/// — however the `TRAP 4` is spelled. The guard decides on the assembled
+/// words, so mnemonic case and label operands cannot hide the syscall.
+#[test]
+fn myid_guard_sees_every_spelling_of_trap_4() {
+    for prog in [
+        "start:  TRAP 4\n        MOV R0, R2\n        TRAP 0\n        BR start",
+        "start:  trap 4\n        mov r0, r2\n        trap 0\n        br start",
+        // `id` sits at byte address 4, so `TRAP id` assembles to TRAP 4.
+        "start:  TRAP id\n        BR start\nid:     .word 0",
+    ] {
+        assert_eq!(
+            identical_pair(prog).valid_rotations(),
+            Vec::<usize>::new(),
+            "MYID program admitted a rotation:\n{prog}"
+        );
+    }
+    // The guard does not over-reject: the same shape without MYID rotates.
+    let yielder = "start:  trap 0\n        mov r0, r2\n        br start";
+    assert_eq!(identical_pair(yielder).valid_rotations(), vec![1]);
 }

@@ -9,10 +9,10 @@
 //!    design, so this equality is exact).
 //! 2. **Recovery**: `FaultPolicy::Restart` re-imaging behaves identically
 //!    under warm caches — the PR 4 regression this PR must not break.
-//! 3. **Verification**: Proof of Separability verdicts and reports are
-//!    unchanged when the seen-sets switch from exact states to 128-bit
-//!    fingerprints — across shard counts, the classic kernel mutants, and
-//!    the fault-op state space.
+//! 3. **Verification**: the sharded checker's 128-bit fingerprint
+//!    seen-sets give the same Proof of Separability report as the
+//!    reference checker's exact full-state dedup — across shard counts,
+//!    the classic kernel mutants, and the fault-op state space.
 
 use sep_fault::FaultPlan;
 use sep_kernel::config::{KernelConfig, Mutation, RegimeSpec};
@@ -20,7 +20,6 @@ use sep_kernel::fault;
 use sep_kernel::kernel::{KernelEvent, SeparationKernel};
 use sep_kernel::regime::{FaultPolicy, PARTITION_SIZE};
 use sep_kernel::verify::{CheckerSelect, KernelSystem};
-use sep_model::fp::Dedup;
 use sep_obs::RunReport;
 
 const COUNTER: &str = "
@@ -163,7 +162,8 @@ fn fault_storm_runs_are_identical_across_all_engines() {
 }
 
 // ---------------------------------------------------------------------------
-// Checker: fingerprint dedup is report-identical to exact dedup.
+// Checker: sharded fingerprint dedup is report-identical to the reference's
+// exact dedup.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -174,26 +174,18 @@ fn mutant_verdicts_are_identical_under_fingerprint_dedup() {
         Mutation::LeakConditionCodes,
         Mutation::ScratchInPartition,
     ] {
-        let build = |dedup| {
-            let mut cfg = workload();
-            cfg.mutation = mutation;
-            KernelSystem::new(cfg).unwrap().with_dedup(dedup)
-        };
-        let exact = build(Dedup::Exact);
-        let fp = build(Dedup::Fingerprint);
-        for select in [
-            CheckerSelect::Sequential,
-            CheckerSelect::Sharded { shards: 2 },
-            CheckerSelect::Sharded { shards: 4 },
-        ] {
-            let a = exact.check_with(&select);
-            let b = fp.check_with(&select);
-            assert_eq!(a, b, "mutant {mutation:?}, {select:?}");
-            assert_eq!(
-                a.is_separable(),
-                mutation == Mutation::None,
-                "mutant {mutation:?} verdict"
-            );
+        let mut cfg = workload();
+        cfg.mutation = mutation;
+        let sys = KernelSystem::new(cfg).unwrap();
+        let reference = sys.check_with(&CheckerSelect::Sequential);
+        assert_eq!(
+            reference.is_separable(),
+            mutation == Mutation::None,
+            "mutant {mutation:?} verdict"
+        );
+        for shards in [1, 2, 4] {
+            let sharded = sys.check_with(&CheckerSelect::Sharded { shards });
+            assert_eq!(reference, sharded, "mutant {mutation:?}, shards {shards}");
         }
     }
 }
@@ -206,22 +198,20 @@ fn fault_op_state_space_is_identical_under_fingerprint_dedup() {
         budget: 1,
         backoff_slots: 1,
     };
-    let build = |dedup| {
-        let cfg = KernelConfig::new(vec![
-            RegimeSpec::assembly("red", YIELDER).with_fault_policy(policy),
-            RegimeSpec::assembly("black", YIELDER).with_fault_policy(policy),
-        ]);
-        KernelSystem::new(cfg)
-            .unwrap()
-            .with_fault_ops()
-            .with_dedup(dedup)
-    };
-    let exact = build(Dedup::Exact).check_with(&CheckerSelect::Sequential);
-    let fp = build(Dedup::Fingerprint).check_with(&CheckerSelect::Sequential);
-    assert_eq!(exact, fp);
-    assert!(fp.is_separable(), "{fp}");
-    let sharded = build(Dedup::Fingerprint).check_with(&CheckerSelect::Sharded { shards: 4 });
-    assert_eq!(fp, sharded, "sharded fingerprint run diverged");
+    let cfg = KernelConfig::new(vec![
+        RegimeSpec::assembly("red", YIELDER).with_fault_policy(policy),
+        RegimeSpec::assembly("black", YIELDER).with_fault_policy(policy),
+    ]);
+    let sys = KernelSystem::new(cfg).unwrap().with_fault_ops();
+    let reference = sys.check_with(&CheckerSelect::Sequential);
+    assert!(reference.is_separable(), "{reference}");
+    for shards in [1, 4] {
+        let sharded = sys.check_with(&CheckerSelect::Sharded { shards });
+        assert_eq!(
+            reference, sharded,
+            "sharded fingerprint run diverged ({shards})"
+        );
+    }
 }
 
 #[test]
@@ -229,23 +219,12 @@ fn sharded_fingerprint_stats_report_the_compact_seen_set() {
     let sys = KernelSystem::new(workload()).unwrap();
     let (report, stats) = sys.check_with_stats(&CheckerSelect::Sharded { shards: 4 });
     assert!(report.is_separable(), "{report}");
+    assert_eq!(report, sys.check_with(&CheckerSelect::Sequential));
     let stats = stats.expect("sharded runs report stats");
-    assert_eq!(
-        stats.fp_states, stats.states as u64,
-        "every state deduplicated by fingerprint"
-    );
+    assert_eq!(stats.states, report.states);
     assert_eq!(
         stats.fp_bytes,
         16 * stats.states as u64,
         "16 bytes per resident key"
     );
-
-    let exact = KernelSystem::new(workload())
-        .unwrap()
-        .with_dedup(Dedup::Exact);
-    let (report_e, stats_e) = exact.check_with_stats(&CheckerSelect::Sharded { shards: 4 });
-    assert_eq!(report, report_e);
-    let stats_e = stats_e.unwrap();
-    assert_eq!(stats_e.fp_states, 0, "exact mode reports no fingerprints");
-    assert_eq!(stats_e.states, stats.states);
 }

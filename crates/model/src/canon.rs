@@ -1,14 +1,15 @@
 //! State-space reduction hooks: symmetry canonicalization, partial-order
 //! ample sets, and Bloom pre-filter accounting.
 //!
-//! The explorers in [`crate::explore`] and [`crate::parallel`] are generic
-//! over the shared-system model and know nothing about regimes or channels,
-//! so the reductions are injected as closures:
+//! The sharded explorer in [`crate::parallel`] — the only explorer that
+//! reduces; the reference explorer in [`crate::explore`] never does — is
+//! generic over the shared-system model and knows nothing about regimes or
+//! channels, so the reductions are injected as closures:
 //!
 //! * **`canon`** maps a state to the 128-bit key of its *orbit
 //!   representative* under a symmetry group of the system (for the kernel:
-//!   rotations of identical-image regimes). Dedup, hash-ownership routing,
-//!   and disk spill all key on the canonical fingerprint, so an orbit is
+//!   rotations of identical-image regimes). Dedup and hash-ownership
+//!   routing both key on the canonical fingerprint, so an orbit is
 //!   explored once no matter which member is reached first. The first
 //!   member discovered (in deterministic BFS order) *is* the
 //!   representative kept — canonicalization changes only the key, never
@@ -26,8 +27,9 @@
 //! the full input and op alphabets by the separability conditions, so
 //! per-state condition coverage is unreduced. The reduction soundness
 //! suite (`reduction_differential`) pins verdicts across every on/off
-//! combination, and the mutant matrix pins that no planted violation
-//! escapes through a pruned interleaving.
+//! combination against the unreduced reference explorer, and the mutant
+//! matrix pins that no planted violation escapes through a pruned
+//! interleaving.
 
 use crate::system::SharedSystem;
 
@@ -37,7 +39,7 @@ pub enum Ample {
     /// Expand the full input alphabet (no reduction at this state).
     All,
     /// Expand only these indices into the input slice, in ascending order.
-    /// An empty subset is treated as [`Ample::All`] by the explorers — a
+    /// An empty subset is treated as [`Ample::All`] by the explorer — a
     /// selector bug must never silently drop all successors.
     Subset(Vec<usize>),
 }
@@ -96,7 +98,7 @@ pub type AmpleFn<'a, S> =
 /// like the unreduced ones.
 pub struct Reduction<'a, S: SharedSystem + ?Sized> {
     /// Canonical-key function: state → orbit-representative fingerprint.
-    /// `None` keys states by their own fingerprint (or exact value).
+    /// `None` keys states by their own fingerprint.
     pub canon: Option<CanonFn<'a, S>>,
     /// Ample-set selector: (state, full alphabet) → subset to expand.
     /// `None` expands the full alphabet everywhere.

@@ -1,4 +1,5 @@
-//! State-space exploration: reachability and sampled checking.
+//! State-space exploration: the reference reachability oracle and sampled
+//! checking.
 //!
 //! The exhaustive checker in [`crate::check`] needs a finite state set. For
 //! small systems this can be written down; for realistic ones we compute the
@@ -8,11 +9,14 @@
 //! conditions along random walks. A sampled pass proves nothing, but in
 //! practice it finds the same kernel bugs the exhaustive pass finds (see
 //! experiment E2), orders of magnitude faster.
+//!
+//! [`reachable_states`] is deliberately naive: plain BFS with exact,
+//! full-state dedup and no fingerprints, Bloom filter or reductions. It is
+//! the oracle the production explorer in [`crate::parallel`] (sharded,
+//! fingerprint-keyed, reduction-aware) is differentially tested against.
 
 use crate::abstraction::Abstraction;
-use crate::canon::{Reduction, ReductionStats};
 use crate::check::{CheckReport, Condition};
-use crate::fp::{fingerprint, Bloom, Dedup};
 use crate::rng::SplitMix64;
 use crate::system::{Projected, SharedSystem};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -22,165 +26,37 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// by `limit` states.
 ///
 /// Returns the reachable set in discovery (BFS) order and a flag that is
-/// `true` when exploration was truncated by the limit. States are
-/// deduplicated by 128-bit fingerprint ([`Dedup::Fingerprint`]); use
-/// [`reachable_states_with`] to select exact dedup instead — the
-/// `explore_determinism` suite pins both to the identical order.
+/// `true` when exploration was truncated: initial states are always
+/// admitted, and the limit is checked before each state is expanded, so a
+/// state space of exactly `limit` states still reports truncation.
 pub fn reachable_states<S: SharedSystem>(
     sys: &S,
     initial: &[S::State],
     inputs: &[S::Input],
     limit: usize,
 ) -> (Vec<S::State>, bool) {
-    reachable_states_with(sys, initial, inputs, limit, Dedup::default())
-}
-
-/// [`reachable_states`] with an explicit seen-set policy.
-///
-/// Each discovered state is stored exactly once, in `order`; the queue
-/// holds indices into it and the seen-set holds fingerprints (mapped to
-/// the indices sharing them, so [`Dedup::Exact`] can confirm equality
-/// against the stored state without keeping a second copy).
-pub fn reachable_states_with<S: SharedSystem>(
-    sys: &S,
-    initial: &[S::State],
-    inputs: &[S::Input],
-    limit: usize,
-    dedup: Dedup,
-) -> (Vec<S::State>, bool) {
-    let (order, truncated, _) =
-        reachable_states_reduced(sys, initial, inputs, limit, dedup, &Reduction::none());
-    (order, truncated)
-}
-
-/// [`reachable_states_with`] threaded through the state-space reduction
-/// hooks of [`crate::canon`].
-///
-/// With `Reduction::none()` this is exactly [`reachable_states_with`];
-/// with a `canon` hook the seen-set keys become orbit-representative
-/// fingerprints (one member per symmetry orbit is explored — the first
-/// discovered, so the output stays deterministic); with an `ample` hook
-/// only the selected input subset is expanded per state. The returned
-/// [`ReductionStats`] quantifies the pruning and, when `dedup` carries a
-/// Bloom pre-filter, the filter's hit/false-positive behaviour.
-pub fn reachable_states_reduced<S: SharedSystem>(
-    sys: &S,
-    initial: &[S::State],
-    inputs: &[S::Input],
-    limit: usize,
-    dedup: Dedup,
-    reduction: &Reduction<S>,
-) -> (Vec<S::State>, bool, ReductionStats) {
-    let mut stats = ReductionStats {
-        canon: reduction.canon.is_some(),
-        ample: reduction.ample.is_some(),
-        ..ReductionStats::default()
-    };
-    let mut bloom = dedup.bloom_params().map(Bloom::new);
-    let mut seen: HashMap<u128, Vec<usize>> = HashMap::new();
+    let mut seen: HashSet<S::State> = HashSet::new();
     let mut order: Vec<S::State> = Vec::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
     for s in initial {
-        if let Some(idx) = admit(
-            dedup,
-            reduction,
-            &mut bloom,
-            &mut stats,
-            &mut seen,
-            &mut order,
-            s.clone(),
-        ) {
-            queue.push_back(idx);
+        if seen.insert(s.clone()) {
+            queue.push_back(order.len());
+            order.push(s.clone());
         }
     }
     while let Some(at) = queue.pop_front() {
         if order.len() >= limit {
-            return (order, true, stats);
+            return (order, true);
         }
-        match reduction.ample {
-            Some(ample) => {
-                let expand = ample(&order[at], inputs).indices(inputs.len());
-                stats.ample_skips += (inputs.len() - expand.len()) as u64;
-                for ii in expand {
-                    let (_, next) = sys.step(&order[at], &inputs[ii]);
-                    if let Some(idx) = admit(
-                        dedup, reduction, &mut bloom, &mut stats, &mut seen, &mut order, next,
-                    ) {
-                        queue.push_back(idx);
-                    }
-                }
-            }
-            None => {
-                for i in inputs {
-                    let (_, next) = sys.step(&order[at], i);
-                    if let Some(idx) = admit(
-                        dedup, reduction, &mut bloom, &mut stats, &mut seen, &mut order, next,
-                    ) {
-                        queue.push_back(idx);
-                    }
-                }
+        for i in inputs {
+            let (_, next) = sys.step(&order[at], i);
+            if seen.insert(next.clone()) {
+                queue.push_back(order.len());
+                order.push(next);
             }
         }
     }
-    (order, false, stats)
-}
-
-/// Commits `next` to `order` if it is new under `dedup`, returning its
-/// index. The state is moved in, never cloned: successors come out of
-/// `step` by value, so discovery costs one state allocation total (the
-/// old seen/order/queue triplication cost three).
-///
-/// Under a `canon` hook the key is the orbit-representative fingerprint
-/// and novelty is key-only for *both* dedup policies: two distinct states
-/// of one orbit must collide, so exact state comparison would defeat the
-/// reduction (documented in DESIGN.md §reduction). The Bloom pre-filter,
-/// when configured, answers "definitely new" before the precise probe;
-/// every admitted key is inserted, so a Bloom negative is proof of novelty
-/// and the filter can never change the admitted set.
-fn admit<S: SharedSystem>(
-    dedup: Dedup,
-    reduction: &Reduction<S>,
-    bloom: &mut Option<Bloom>,
-    stats: &mut ReductionStats,
-    seen: &mut HashMap<u128, Vec<usize>>,
-    order: &mut Vec<S::State>,
-    next: S::State,
-) -> Option<usize> {
-    let key = match reduction.canon {
-        Some(canon) => canon(&next),
-        None => fingerprint(&next),
-    };
-    let mut bloom_said_maybe = false;
-    if let Some(filter) = bloom.as_mut() {
-        if filter.may_contain(key) {
-            bloom_said_maybe = true;
-        } else {
-            stats.bloom_negatives += 1;
-            filter.insert(key);
-            let idx = order.len();
-            seen.entry(key).or_default().push(idx);
-            order.push(next);
-            return Some(idx);
-        }
-    }
-    let bucket = seen.entry(key).or_default();
-    let novel = match dedup {
-        Dedup::Exact if reduction.canon.is_none() => !bucket.iter().any(|&i| order[i] == next),
-        _ => bucket.is_empty(),
-    };
-    if !novel {
-        return None;
-    }
-    if bloom_said_maybe {
-        stats.bloom_false_positives += 1;
-    }
-    if let Some(filter) = bloom.as_mut() {
-        filter.insert(key);
-    }
-    let idx = order.len();
-    bucket.push(idx);
-    order.push(next);
-    Some(idx)
+    (order, false)
 }
 
 /// A reproducible randomized checker for systems too large to enumerate.

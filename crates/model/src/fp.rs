@@ -1,20 +1,20 @@
 //! 128-bit state fingerprints and the seen-set dedup policy.
 //!
-//! The explorers deduplicate discovered states by key. A key can be the
-//! state itself (exact, collision-free, but a whole `KernelState` per
-//! entry) or a 128-bit fingerprint: two independently-seeded 64-bit hashes,
-//! each finalized through a [`SplitMix64`] round so related inputs do not
-//! produce related keys. Fingerprints are deterministic across threads and
-//! shard counts — the same state always fingerprints to the same value —
-//! which is what lets the parallel checker route hash ownership and spill
-//! seen-sets to disk as sorted 16-byte keys instead of whole states.
+//! The production explorer ([`crate::parallel`]) deduplicates discovered
+//! states by a 128-bit fingerprint: two independently-seeded 64-bit
+//! hashes, each finalized through a [`SplitMix64`] round so related inputs
+//! do not produce related keys. Fingerprints are deterministic across
+//! threads and shard counts — the same state always fingerprints to the
+//! same value — which is what lets the sharded checker route hash
+//! ownership and keep its seen-sets as 16-byte keys instead of whole
+//! states.
 //!
 //! A fingerprint collision (two distinct reachable states with the same
 //! 128 bits) would merge two states silently. With two independent 64-bit
 //! hashes the chance is cryptographically negligible at any state count
-//! this repo can enumerate; the differential suite pins fingerprint runs
-//! against exact runs regardless, and [`Dedup::Exact`] remains available
-//! for the paranoid.
+//! this repo can enumerate; the differential suites pin fingerprint runs
+//! against the exact-dedup reference explorer
+//! ([`crate::explore::reachable_states`]) regardless.
 
 use crate::rng::SplitMix64;
 use std::collections::hash_map::DefaultHasher;
@@ -24,41 +24,29 @@ use std::hash::{Hash, Hasher};
 /// golden gamma).
 const SECOND_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// How an explorer's seen-set identifies states.
+/// How the sharded explorer's seen-set identifies states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dedup {
-    /// Deduplicate by 128-bit fingerprint: 16 bytes per seen state, same
-    /// exploration order as exact dedup barring an astronomically unlikely
-    /// collision. The default.
+    /// Deduplicate by 128-bit fingerprint: 16 bytes per seen state. The
+    /// default.
     #[default]
     Fingerprint,
-    /// Deduplicate by full state equality: collision-free, at the cost of
-    /// keeping every state resident in the seen-set.
-    Exact,
     /// Fingerprint dedup with a Bloom pre-filter in front of the precise
     /// seen-set. The Bloom filter answers "definitely new" without probing
-    /// the precise set (and, under disk spill, without touching the spilled
-    /// runs); a "maybe seen" falls through to the precise probe, so the
-    /// filter never changes which states are admitted — only how many
-    /// precise probes a sweep pays for. False positives are counted in
-    /// [`crate::canon::ReductionStats`].
+    /// the precise set; a "maybe seen" falls through to the precise probe,
+    /// so the filter never changes which states are admitted — only how
+    /// many precise probes a sweep pays for. False positives are counted
+    /// in [`crate::canon::ReductionStats`].
     Bloom(BloomParams),
 }
 
 impl Dedup {
-    /// Whether this policy keys the seen-set by fingerprint (16 bytes per
-    /// state) rather than by the full state.
-    #[inline]
-    pub fn keyed_by_fingerprint(&self) -> bool {
-        !matches!(self, Dedup::Exact)
-    }
-
     /// The Bloom pre-filter parameters, if this policy carries one.
     #[inline]
     pub fn bloom_params(&self) -> Option<BloomParams> {
         match self {
             Dedup::Bloom(p) => Some(*p),
-            _ => None,
+            Dedup::Fingerprint => None,
         }
     }
 }
@@ -93,7 +81,7 @@ impl Default for BloomParams {
 /// derived from the key halves and the seed via [`SplitMix64`], and probe
 /// `j` lands on bit `(g1 + j·g2) mod 2^bits_log2`. Insertion and query are
 /// deterministic for a given `BloomParams`, which is what lets the
-/// explorers pin false-positive counts run to run.
+/// sharded explorer pin false-positive counts run to run.
 #[derive(Debug, Clone)]
 pub struct Bloom {
     bits: Vec<u64>,

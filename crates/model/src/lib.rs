@@ -12,15 +12,19 @@
 //! * [`check`] — the **Proof of Separability** checker: verifies the six
 //!   conditions of the Appendix exhaustively over a finite state space,
 //!   producing counterexamples that name the violated condition.
-//! * [`explore`] — reachable-state enumeration and statistical (sampled)
-//!   checking for systems too large to enumerate.
+//! * [`explore`] — the reference reachable-state enumeration (naive BFS,
+//!   exact dedup, no reductions: the differential oracle) and statistical
+//!   (sampled) checking for systems too large to enumerate.
 //! * [`canon`] — state-space reduction hooks: symmetry canonicalization
 //!   (orbit-representative fingerprints), partial-order ample sets, and
-//!   Bloom pre-filter accounting, all injected into both explorers as
+//!   Bloom pre-filter accounting, injected into the sharded explorer as
 //!   closures and pinned sound by the reduction differential suite.
-//! * [`parallel`] — the frontier-sharded parallel checker: report-identical
-//!   to [`check`]'s sequential checker for every shard count (proved by the
-//!   differential test suite), with an optional disk-backed seen-set spill.
+//! * [`fp`] — 128-bit state fingerprints, the sharded explorer's seen-set
+//!   policy ([`Dedup`]) and its Bloom pre-filter.
+//! * [`parallel`] — the frontier-sharded checker, the production path and
+//!   the only explorer that reduces: report-identical to [`check`]'s
+//!   sequential checker over the reference explorer for every shard count
+//!   (proved by the differential test suite).
 //! * [`objects`] / [`cut`] — shared-object systems and the paper's "cut the
 //!   wires" argument: alias each permitted channel object into two private
 //!   ends, then prove the cut system enforces *isolation*; it follows that
@@ -50,14 +54,11 @@ pub use abstraction::Abstraction;
 pub use canon::{Ample, Reduction, ReductionStats};
 pub use check::{CheckReport, Condition, SeparabilityChecker, Violation};
 pub use cut::{CutSystem, InterferenceWitness};
-pub use explore::{
-    reachable_states, reachable_states_reduced, reachable_states_with, SampledChecker,
-};
+pub use explore::{reachable_states, SampledChecker};
 pub use fp::{fingerprint, Bloom, BloomParams, Dedup};
 pub use objects::{ObjRef, ObjectSystem, OpDecl, Value};
 pub use parallel::{
-    par_reachable_states, par_reachable_states_reduced, par_reachable_states_with, ExploreStats,
-    ParallelSeparabilityChecker, ShardStats, SpillConfig,
+    par_explore, par_reachable_states, ExploreStats, ParallelSeparabilityChecker, ShardStats,
 };
 pub use system::{Finite, Projected, SharedSystem};
 pub use trace::{first_divergence, ColourTrace, TraceSet};

@@ -1,10 +1,12 @@
-//! A parallel, frontier-sharded Proof of Separability checker.
+//! The frontier-sharded Proof of Separability checker: the production
+//! explorer and checker.
 //!
 //! [`ParallelSeparabilityChecker`] produces a [`CheckReport`] **identical**
-//! to [`crate::check::SeparabilityChecker`]'s — same states, same
-//! per-condition check counts, same violations in the same order with the
-//! same witness text — for every shard count. Determinism is engineered,
-//! not hoped for:
+//! to [`crate::check::SeparabilityChecker`]'s over the reference explorer
+//! [`crate::explore::reachable_states`] — same states, same per-condition
+//! check counts, same violations in the same order with the same witness
+//! text — for every shard count, whenever no reduction is installed.
+//! Determinism is engineered, not hoped for:
 //!
 //! * **Exploration** is level-synchronised BFS. The frontier is sharded by
 //!   state hash across N expander threads; successors are routed over
@@ -12,8 +14,8 @@
 //!   has exactly one owning seen-shard, so no two threads ever disagree
 //!   about whether it is new). Every successor carries a `(parent, input)`
 //!   tag, and the merge replays survivors in tag order — exactly the
-//!   discovery order of the sequential [`crate::explore::reachable_states`],
-//!   including its truncation rule (checked before each parent expands).
+//!   discovery order of the reference explorer, including its truncation
+//!   rule (checked before each parent expands).
 //! * **Condition checking** fans each phase out over worker threads that
 //!   emit violation *candidates* keyed by their position in the sequential
 //!   checker's encounter order `(abstraction, phase, major, minor)`. The
@@ -21,7 +23,7 @@
 //!   per-condition cap, reproducing the sequential violation list bit for
 //!   bit. Check counts are order-independent sums.
 //!
-//! The parallel checker is also *algorithmically* cheaper than the
+//! The sharded checker is also *algorithmically* cheaper than the
 //! sequential one: each `(state, op)` successor and each `(state, input)`
 //! consumption is computed once and shared across all N abstractions (the
 //! sequential checker recomputes them per colour), and condition 2/3/4
@@ -31,15 +33,15 @@
 //! is what makes verification of an N-regime system scale like the state
 //! space instead of N × the state space.
 //!
-//! Seen-sets hold 128-bit state **fingerprints** by default
-//! ([`crate::fp::Dedup::Fingerprint`]): ownership routing, dedup, and the
-//! optional disk-backed spill ([`SpillConfig`]) all work on 16-byte keys
-//! computed once per successor, so exploration memory and spill I/O scale
-//! with key count rather than state size. Exact full-state dedup remains
-//! available via [`ParallelSeparabilityChecker::with_dedup`]; the
-//! differential suite pins both policies to identical reports. Fingerprint
-//! membership is probabilistic only in the cryptographic sense (a collision
-//! of two independently-seeded 64-bit hashes).
+//! This is the only explorer that reduces: the symmetry and partial-order
+//! hooks of [`crate::canon`] and the Bloom pre-filter of [`Dedup::Bloom`]
+//! apply here and nowhere else. Seen-sets hold 128-bit state
+//! **fingerprints** ([`crate::fp`]): ownership routing and dedup work on
+//! 16-byte keys computed once per successor, so exploration memory scales
+//! with key count rather than state size. Fingerprint membership is
+//! probabilistic only in the cryptographic sense (a collision of two
+//! independently-seeded 64-bit hashes); the differential suites pin the
+//! unreduced sharded explorer to the exact-dedup reference.
 
 use crate::abstraction::Abstraction;
 use crate::canon::{Reduction, ReductionStats};
@@ -47,10 +49,7 @@ use crate::check::{CheckReport, Condition, Violation};
 use crate::fp::{fingerprint, Bloom, Dedup};
 use crate::system::{Finite, Projected, SharedSystem};
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 
 /// `(parent position in frontier, input index)`: the discovery tag that
@@ -58,8 +57,8 @@ use std::sync::mpsc;
 type Tag = (usize, usize);
 
 /// A successor candidate in flight: discovery tag, the state's 128-bit
-/// fingerprint (computed once, at expansion, and reused for routing, dedup,
-/// and spill), and the state itself.
+/// key (computed once, at expansion, and reused for routing and dedup), and
+/// the state itself.
 type Cand<T> = (Tag, u128, T);
 
 /// `(abstraction, phase, major, minor)`: a candidate violation's position
@@ -69,33 +68,11 @@ type Cand<T> = (Tag, u128, T);
 /// (state).
 type Key = (usize, u8, usize, usize);
 
-/// Deterministic shard ownership: fingerprint → shard. Equal states have
-/// equal fingerprints, so every distinct state has exactly one owner under
-/// either dedup policy — [`Dedup::Exact`] merely resolves same-fingerprint
-/// candidates by full comparison once they arrive.
+/// Deterministic shard ownership: key → shard. Equal states have equal
+/// keys, so every distinct state has exactly one owner.
 #[inline]
 fn shard_of(fp: u128, shards: usize) -> usize {
     (fp % shards as u128) as usize
-}
-
-/// Configuration of the optional disk-backed seen-set spill.
-#[derive(Debug, Clone)]
-pub struct SpillConfig {
-    /// Resident states per shard before a flush to disk.
-    pub max_resident: usize,
-    /// Directory for run files; the system temp dir when `None`. Each
-    /// checker run creates (and on drop removes) its own subdirectory.
-    pub dir: Option<PathBuf>,
-}
-
-impl SpillConfig {
-    /// Spills each shard after `max_resident` resident states.
-    pub fn new(max_resident: usize) -> SpillConfig {
-        SpillConfig {
-            max_resident,
-            dir: None,
-        }
-    }
 }
 
 /// Per-shard exploration counters.
@@ -107,13 +84,9 @@ pub struct ShardStats {
     pub expanded: usize,
     /// Successor candidates routed to this shard for dedup.
     pub routed: usize,
-    /// Fingerprints flushed to disk runs.
-    pub spilled: u64,
-    /// Number of disk runs written.
-    pub spill_runs: u64,
 }
 
-/// Aggregate exploration statistics from a parallel BFS.
+/// Aggregate exploration statistics from a sharded BFS.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Number of shards (worker/owner thread pairs).
@@ -122,15 +95,16 @@ pub struct ExploreStats {
     pub states: usize,
     /// BFS levels processed.
     pub levels: usize,
+    /// Levels whose expansion and dedup ran on worker threads. Levels with
+    /// fewer than `shards * 8` successor candidates (and every level at one
+    /// shard) run inline; this counter proves the threaded path engaged.
+    pub threaded_levels: usize,
     /// Widest frontier seen.
     pub max_frontier: usize,
     /// Whether exploration hit the state limit.
     pub truncated: bool,
-    /// States tracked by 128-bit fingerprint (the whole state set under
-    /// [`Dedup::Fingerprint`], zero under [`Dedup::Exact`]).
-    pub fp_states: u64,
-    /// Seen-set key bytes under fingerprint dedup (16 per state) — the
-    /// footprint exact dedup would instead spend on whole resident states.
+    /// Seen-set key bytes (16 per state) — the footprint a full-state
+    /// seen-set would instead spend on whole resident states.
     pub fp_bytes: u64,
     /// State-space reduction counters (symmetry, ample sets, Bloom). The
     /// sums are shard-count-invariant: within a level each distinct key is
@@ -141,248 +115,74 @@ pub struct ExploreStats {
     pub per_shard: Vec<ShardStats>,
 }
 
-/// One hash-shard of the seen-set plus, when spilling, sorted on-disk runs
-/// of state fingerprints.
-///
-/// Under [`Dedup::Fingerprint`] the resident set holds 16-byte keys — the
-/// default, and what lets exploration memory scale with key count rather
-/// than state size. Under [`Dedup::Exact`] it holds whole states, as the
-/// original checker did. Spilled runs are always fingerprints (membership
-/// against them was already probabilistic only in the cryptographic sense).
-struct SeenShard<T> {
-    dedup: Dedup,
-    resident_fp: HashSet<u128>,
-    resident_exact: HashSet<T>,
-    max_resident: usize,
-    run_dir: Option<PathBuf>,
-    runs: Vec<PathBuf>,
-    spilled: u64,
-}
-
-impl<T: Eq + Hash> SeenShard<T> {
-    fn new(dedup: Dedup, spill: Option<&SpillConfig>, shard: usize) -> SeenShard<T> {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let run_dir = spill.map(|s| {
-            let base = s.dir.clone().unwrap_or_else(std::env::temp_dir);
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-            base.join(format!("sep-pos-spill-{}-{n}-{shard}", std::process::id()))
-        });
-        SeenShard {
-            dedup,
-            resident_fp: HashSet::new(),
-            resident_exact: HashSet::new(),
-            max_resident: spill.map(|s| s.max_resident.max(1)).unwrap_or(usize::MAX),
-            run_dir,
-            runs: Vec::new(),
-            spilled: 0,
-        }
-    }
-
-    /// Records a state. Fingerprint mode never touches the state itself;
-    /// exact mode clones it into the resident set.
-    fn insert(&mut self, fp: u128, value: &T)
-    where
-        T: Clone,
-    {
-        let len = match self.dedup {
-            Dedup::Exact => {
-                self.resident_exact.insert(value.clone());
-                self.resident_exact.len()
-            }
-            _ => {
-                self.resident_fp.insert(fp);
-                self.resident_fp.len()
-            }
-        };
-        if len >= self.max_resident {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        let dir = self
-            .run_dir
-            .clone()
-            .expect("spill flush requires a run dir");
-        std::fs::create_dir_all(&dir).expect("create spill dir");
-        let mut fps: Vec<u128> = match self.dedup {
-            Dedup::Exact => self
-                .resident_exact
-                .drain()
-                .map(|s| fingerprint(&s))
-                .collect(),
-            _ => self.resident_fp.drain().collect(),
-        };
-        fps.sort_unstable();
-        fps.dedup();
-        let path = dir.join(format!("run-{:04}.fp", self.runs.len()));
-        let mut buf = Vec::with_capacity(fps.len() * 16);
-        for fp in &fps {
-            buf.extend_from_slice(&fp.to_le_bytes());
-        }
-        std::fs::write(&path, buf).expect("write spill run");
-        self.spilled += fps.len() as u64;
-        self.runs.push(path);
-    }
-
-    /// Resident seen-set keys (for the fingerprint-footprint statistics).
-    fn resident_len(&self) -> usize {
-        match self.dedup {
-            Dedup::Exact => self.resident_exact.len(),
-            _ => self.resident_fp.len(),
-        }
-    }
-
-    fn contains(&self, fp: u128, value: &T) -> bool {
-        let resident = match self.dedup {
-            Dedup::Exact => self.resident_exact.contains(value),
-            _ => self.resident_fp.contains(&fp),
-        };
-        if resident {
-            return true;
-        }
-        self.runs
-            .iter()
-            .any(|run| read_run(run).binary_search(&fp).is_ok())
-    }
-
-    /// Drops candidates already recorded in this shard (resident or on any
-    /// disk run), preserving order. Candidates arrive with their
-    /// fingerprints already computed, so runs are filtered without
-    /// re-hashing, and each run file is read once per call, not once per
-    /// candidate.
-    fn retain_novel(&self, cands: &mut Vec<Cand<T>>) {
-        match self.dedup {
-            Dedup::Exact => cands.retain(|(_, _, s)| !self.resident_exact.contains(s)),
-            _ => cands.retain(|(_, fp, _)| !self.resident_fp.contains(fp)),
-        }
-        if self.runs.is_empty() || cands.is_empty() {
-            return;
-        }
-        let mut dead = vec![false; cands.len()];
-        for run in &self.runs {
-            let sorted = read_run(run);
-            for (i, (_, fp, _)) in cands.iter().enumerate() {
-                if !dead[i] && sorted.binary_search(fp).is_ok() {
-                    dead[i] = true;
-                }
-            }
-        }
-        let mut i = 0;
-        cands.retain(|_| {
-            let keep = !dead[i];
-            i += 1;
-            keep
-        });
-    }
-}
-
-impl<T> Drop for SeenShard<T> {
-    fn drop(&mut self) {
-        if let Some(dir) = &self.run_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
-fn read_run(path: &PathBuf) -> Vec<u128> {
-    let bytes = std::fs::read(path).expect("read spill run");
-    bytes
-        .chunks_exact(16)
-        .map(|c| u128::from_le_bytes(c.try_into().expect("16-byte chunk")))
-        .collect()
-}
-
-/// Keeps the first (minimum-tag) occurrence of each distinct state, then
-/// drops everything the owning shard has already seen. "Distinct" follows
-/// the shard's dedup policy: by fingerprint or by full state equality.
+/// Keeps the first (minimum-tag) occurrence of each distinct key, then
+/// drops everything the owning shard has already seen, preserving tag
+/// order.
 ///
 /// When a Bloom pre-filter is supplied (read-only during this per-level
 /// pass; it is grown only at the single-threaded merge), a "definitely
-/// absent" answer skips the precise probe — including any disk-run reads —
-/// and the candidate is novel by construction, since every committed key
-/// was inserted into the filter. Returns the novel candidates plus the
-/// (shard-count-invariant) Bloom negative / false-positive counts.
-fn dedup_candidates<T: Eq + Hash>(
-    shard: &SeenShard<T>,
+/// absent" answer skips the precise probe, and the candidate is novel by
+/// construction, since every committed key was inserted into the filter.
+/// Returns the novel candidates plus the (shard-count-invariant) Bloom
+/// negative / false-positive counts.
+fn dedup_candidates<T>(
+    seen: &HashSet<u128>,
     bloom: Option<&Bloom>,
     mut cands: Vec<Cand<T>>,
 ) -> (Vec<Cand<T>>, u64, u64) {
     cands.sort_by_key(|(tag, _, _)| *tag);
-    let mut keep = vec![true; cands.len()];
-    match shard.dedup {
-        Dedup::Exact => {
-            let mut firsts: HashSet<&T> = HashSet::with_capacity(cands.len());
-            for (i, (_, _, s)) in cands.iter().enumerate() {
-                if !firsts.insert(s) {
-                    keep[i] = false;
-                }
-            }
+    let mut firsts: HashSet<u128> = HashSet::with_capacity(cands.len());
+    let (mut negatives, mut false_positives) = (0u64, 0u64);
+    cands.retain(|(_, key, _)| {
+        if !firsts.insert(*key) {
+            return false;
         }
-        _ => {
-            let mut firsts: HashSet<u128> = HashSet::with_capacity(cands.len());
-            for (i, (_, fp, _)) in cands.iter().enumerate() {
-                if !firsts.insert(*fp) {
-                    keep[i] = false;
-                }
+        match bloom {
+            Some(filter) if !filter.may_contain(*key) => {
+                negatives += 1;
+                true
             }
+            Some(_) if !seen.contains(key) => {
+                false_positives += 1;
+                true
+            }
+            _ => !seen.contains(key),
         }
-    }
-    let mut i = 0;
-    cands.retain(|_| {
-        let k = keep[i];
-        i += 1;
-        k
     });
-    let Some(filter) = bloom else {
-        shard.retain_novel(&mut cands);
-        return (cands, 0, 0);
-    };
-    let mut sure: Vec<Cand<T>> = Vec::new();
-    let mut maybe: Vec<Cand<T>> = Vec::new();
-    for c in cands {
-        if filter.may_contain(c.1) {
-            maybe.push(c);
-        } else {
-            sure.push(c);
-        }
+    (cands, negatives, false_positives)
+}
+
+/// The seen-set key of a state: its orbit key under a canon hook, its own
+/// fingerprint otherwise.
+#[inline]
+fn key_of<S: SharedSystem + ?Sized>(reduction: &Reduction<S>, s: &S::State) -> u128 {
+    match reduction.canon {
+        Some(canon) => canon(s),
+        None => fingerprint(s),
     }
-    let negatives = sure.len() as u64;
-    shard.retain_novel(&mut maybe);
-    let false_positives = maybe.len() as u64;
-    // Both halves are tag-sorted; merge them back into tag order.
-    let mut out = Vec::with_capacity(sure.len() + maybe.len());
-    let (mut a, mut b) = (sure.into_iter().peekable(), maybe.into_iter().peekable());
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                if x.0 <= y.0 {
-                    out.push(a.next().expect("peeked"));
-                } else {
-                    out.push(b.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(a.next().expect("peeked")),
-            (None, Some(_)) => out.push(b.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    (out, negatives, false_positives)
+}
+
+/// The input indices to expand at frontier position `p`: the ample list
+/// when an ample hook chose one, the whole alphabet (`all`) otherwise.
+#[inline]
+fn expansion<'a>(all: &'a [usize], lists: Option<&'a [Vec<usize>]>, p: usize) -> &'a [usize] {
+    lists.map_or(all, |l| l[p].as_slice())
 }
 
 /// Expands one frontier level on `shards` worker threads, routing each
 /// successor over a channel to its owner shard. Returns per-owner candidate
 /// lists (arrival order; the dedup pass re-sorts by tag).
 ///
-/// `expands` (when present) lists the ample input indices per frontier
-/// state; candidates keep their *original* input index as the tag, so the
-/// merged order stays a subsequence of the unreduced discovery order.
+/// `lists` (when present) holds the ample input indices per frontier
+/// state; candidates keep their *original* input index as the tag, so
+/// under an ample-set reduction the merged order stays a subsequence of
+/// the unreduced discovery order.
 fn expand_level<S>(
     sys: &S,
     frontier: &[S::State],
-    assign: &[usize],
     inputs: &[S::Input],
-    expands: Option<&[Vec<usize>]>,
+    all: &[usize],
+    lists: Option<&[Vec<usize>]>,
     reduction: &Reduction<S>,
     shards: usize,
 ) -> Vec<Vec<Cand<S::State>>>
@@ -406,30 +206,13 @@ where
         for w in 0..shards {
             let senders = senders.clone();
             scope.spawn(move || {
-                let emit = |p: usize, i_idx: usize, s: &S::State| {
-                    let (_, next) = sys.step(s, &inputs[i_idx]);
-                    let key = match reduction.canon {
-                        Some(canon) => canon(&next),
-                        None => fingerprint(&next),
-                    };
-                    let owner = shard_of(key, shards);
-                    let _ = senders[owner].send(((p, i_idx), key, next));
-                };
-                for (p, s) in frontier.iter().enumerate() {
-                    if assign[p] != w {
-                        continue;
-                    }
-                    match expands {
-                        Some(lists) => {
-                            for &i_idx in &lists[p] {
-                                emit(p, i_idx, s);
-                            }
-                        }
-                        None => {
-                            for i_idx in 0..inputs.len() {
-                                emit(p, i_idx, s);
-                            }
-                        }
+                // Round-robin expansion assignment, matching the
+                // `expanded` counters.
+                for (p, s) in frontier.iter().enumerate().skip(w).step_by(shards) {
+                    for &i_idx in expansion(all, lists, p) {
+                        let (_, next) = sys.step(s, &inputs[i_idx]);
+                        let key = key_of(reduction, &next);
+                        let _ = senders[shard_of(key, shards)].send(((p, i_idx), key, next));
                     }
                 }
             });
@@ -442,17 +225,21 @@ where
     })
 }
 
-/// Parallel frontier-sharded BFS with the exact discovery order and
-/// truncation semantics of [`crate::explore::reachable_states`], threaded
-/// through the state-space reduction hooks.
-#[allow(clippy::too_many_arguments)]
-fn explore<S>(
+/// Frontier-sharded BFS with the discovery order and truncation semantics
+/// of [`crate::explore::reachable_states`], under a seen-set policy
+/// (optionally a Bloom pre-filter) and threaded through the state-space
+/// reduction hooks of [`crate::canon`]. Returns the explored states and
+/// the full exploration statistics (including [`ReductionStats`]).
+///
+/// With `Reduction::none()` this returns exactly the reference states for
+/// either policy and every shard count; the shard-invariance of the output
+/// and the stats projection is pinned by `explore_determinism`.
+pub fn par_explore<S>(
     sys: &S,
     initial: &[S::State],
     inputs: &[S::Input],
     limit: usize,
     shards: usize,
-    spill: Option<&SpillConfig>,
     dedup: Dedup,
     reduction: &Reduction<S>,
 ) -> (Vec<S::State>, ExploreStats)
@@ -462,22 +249,8 @@ where
     S::Input: Sync,
 {
     let shards = shards.max(1);
-    // Orbit representatives cannot be compared for exact equality (two
-    // distinct states of one orbit must dedup against each other), so a
-    // canon hook forces fingerprint-keyed seen-sets.
-    let dedup = if reduction.canon.is_some() && dedup == Dedup::Exact {
-        Dedup::Fingerprint
-    } else {
-        dedup
-    };
-    let key_of = |s: &S::State| match reduction.canon {
-        Some(canon) => canon(s),
-        None => fingerprint(s),
-    };
     let mut bloom = dedup.bloom_params().map(Bloom::new);
-    let mut seen: Vec<SeenShard<S::State>> = (0..shards)
-        .map(|j| SeenShard::new(dedup, spill, j))
-        .collect();
+    let mut seen: Vec<HashSet<u128>> = vec![HashSet::new(); shards];
     let mut stats = ExploreStats {
         shards,
         per_shard: vec![ShardStats::default(); shards],
@@ -489,31 +262,20 @@ where
         ..ExploreStats::default()
     };
     let mut order: Vec<S::State> = Vec::new();
+    let all: Vec<usize> = (0..inputs.len()).collect();
 
-    let finish = |order: Vec<S::State>,
-                  mut stats: ExploreStats,
-                  seen: &[SeenShard<S::State>]|
-     -> (Vec<S::State>, ExploreStats) {
+    let finish = |order: Vec<S::State>, mut stats: ExploreStats| {
         stats.states = order.len();
-        for (shard, st) in seen.iter().zip(stats.per_shard.iter_mut()) {
-            st.spilled = shard.spilled;
-            st.spill_runs = shard.runs.len() as u64;
-        }
-        if dedup.keyed_by_fingerprint() {
-            stats.fp_states = order.len() as u64;
-            let resident: usize = seen.iter().map(|s| s.resident_len()).sum();
-            stats.fp_bytes = 16 * resident as u64;
-        }
+        stats.fp_bytes = 16 * order.len() as u64;
         (order, stats)
     };
 
     // Initial states are always admitted; the limit applies when a state
-    // is taken up for expansion, exactly as in the sequential explorer.
+    // is taken up for expansion, exactly as in the reference explorer.
     for s in initial {
-        let key = key_of(s);
+        let key = key_of(reduction, s);
         let owner = shard_of(key, shards);
-        if !seen[owner].contains(key, s) {
-            seen[owner].insert(key, s);
+        if seen[owner].insert(key) {
             if let Some(filter) = bloom.as_mut() {
                 filter.insert(key);
             }
@@ -525,7 +287,7 @@ where
     let mut cursor = 0usize;
     while cursor < order.len() {
         if order.len() >= limit {
-            // Unexpanded states remain: the sequential explorer would stop
+            // Unexpanded states remain: the reference explorer would stop
             // at its next pop.
             stats.truncated = true;
             break;
@@ -537,10 +299,9 @@ where
 
         // Round-robin expansion assignment: which worker *expands* a parent
         // is pure load balancing (ownership of the successors is decided by
-        // their fingerprints), so no hash is needed here.
-        let assign: Vec<usize> = (0..width).map(|p| p % shards).collect();
-        for &w in &assign {
-            stats.per_shard[w].expanded += 1;
+        // their keys), so no hash is needed here.
+        for p in 0..width {
+            stats.per_shard[p % shards].expanded += 1;
         }
 
         let frontier = &order[level];
@@ -548,13 +309,13 @@ where
         // Ample-set selection happens up front, single-threaded and in
         // frontier order, so skip counters and expansion lists are
         // identical for every shard count.
-        let expands: Option<Vec<Vec<usize>>> = reduction.ample.map(|ample| {
+        let lists: Option<Vec<Vec<usize>>> = reduction.ample.map(|ample| {
             frontier
                 .iter()
                 .map(|s| ample(s, inputs).indices(inputs.len()))
                 .collect()
         });
-        if let Some(lists) = &expands {
+        if let Some(lists) = &lists {
             stats.reduction.ample_skips += lists
                 .iter()
                 .map(|l| (inputs.len() - l.len()) as u64)
@@ -565,35 +326,26 @@ where
         // successors than threads) run inline: same candidates, same tags,
         // no spawn cost.
         let threaded = shards > 1 && width * inputs.len() >= shards * 8;
+        if threaded {
+            stats.threaded_levels += 1;
+        }
         let routed: Vec<Vec<Cand<S::State>>> = if threaded {
             expand_level(
                 sys,
                 frontier,
-                &assign,
                 inputs,
-                expands.as_deref(),
+                &all,
+                lists.as_deref(),
                 reduction,
                 shards,
             )
         } else {
             let mut per_owner: Vec<Vec<Cand<S::State>>> = vec![Vec::new(); shards];
-            let mut emit = |p: usize, i_idx: usize, s: &S::State| {
-                let (_, next) = sys.step(s, &inputs[i_idx]);
-                let key = key_of(&next);
-                per_owner[shard_of(key, shards)].push(((p, i_idx), key, next));
-            };
             for (p, s) in frontier.iter().enumerate() {
-                match &expands {
-                    Some(lists) => {
-                        for &i_idx in &lists[p] {
-                            emit(p, i_idx, s);
-                        }
-                    }
-                    None => {
-                        for i_idx in 0..inputs.len() {
-                            emit(p, i_idx, s);
-                        }
-                    }
+                for &i_idx in expansion(&all, lists.as_deref(), p) {
+                    let (_, next) = sys.step(s, &inputs[i_idx]);
+                    let key = key_of(reduction, &next);
+                    per_owner[shard_of(key, shards)].push(((p, i_idx), key, next));
                 }
             }
             per_owner
@@ -631,31 +383,29 @@ where
                 .map(|(cands, shard)| dedup_candidates(shard, bloom_ref, cands))
                 .collect()
         };
-        let mut novels: Vec<Vec<Cand<S::State>>> = Vec::with_capacity(deduped.len());
+        let mut novel: Vec<Cand<S::State>> = Vec::new();
         for (cands, negatives, false_positives) in deduped {
             stats.reduction.bloom_negatives += negatives;
             stats.reduction.bloom_false_positives += false_positives;
-            novels.push(cands);
+            novel.extend(cands);
         }
 
         // Deterministic merge: commit survivors in (parent, input) order,
-        // re-applying the sequential truncation rule before each parent.
-        // Each survivor is moved into `order`; under fingerprint dedup the
-        // seen-set keeps only its 16-byte key, so a discovered state is
-        // allocated exactly once.
-        let mut novel: Vec<Cand<S::State>> = novels.into_iter().flatten().collect();
+        // re-applying the reference truncation rule before each parent.
+        // Each survivor is moved into `order` and the seen-set keeps only
+        // its 16-byte key, so a discovered state is allocated exactly once.
         novel.sort_by_key(|(tag, _, _)| *tag);
         let mut it = novel.into_iter().peekable();
         for p in 0..width {
             if order.len() >= limit {
                 stats.truncated = true;
-                return finish(order, stats, &seen);
+                return finish(order, stats);
             }
             cursor += 1;
             while it.peek().is_some_and(|(tag, _, _)| tag.0 == p) {
                 let (_, key, s) = it.next().expect("peeked");
                 let owner = shard_of(key, shards);
-                seen[owner].insert(key, &s);
+                seen[owner].insert(key);
                 if let Some(filter) = bloom.as_mut() {
                     filter.insert(key);
                 }
@@ -664,10 +414,10 @@ where
             }
         }
     }
-    finish(order, stats, &seen)
+    finish(order, stats)
 }
 
-/// The parallel analogue of [`crate::explore::reachable_states`]: same
+/// The sharded analogue of [`crate::explore::reachable_states`]: same
 /// returned state order and truncation flag for every `shards` value.
 pub fn par_reachable_states<S>(
     sys: &S,
@@ -681,58 +431,16 @@ where
     S::State: Send + Sync,
     S::Input: Sync,
 {
-    par_reachable_states_with(sys, initial, inputs, limit, shards, Dedup::default())
-}
-
-/// [`par_reachable_states`] with an explicit seen-set policy.
-pub fn par_reachable_states_with<S>(
-    sys: &S,
-    initial: &[S::State],
-    inputs: &[S::Input],
-    limit: usize,
-    shards: usize,
-    dedup: Dedup,
-) -> (Vec<S::State>, bool)
-where
-    S: SharedSystem + Sync,
-    S::State: Send + Sync,
-    S::Input: Sync,
-{
-    let (order, stats) = explore(
+    let (order, stats) = par_explore(
         sys,
         initial,
         inputs,
         limit,
         shards,
-        None,
-        dedup,
+        Dedup::default(),
         &Reduction::none(),
     );
     (order, stats.truncated)
-}
-
-/// [`par_reachable_states_with`] threaded through the state-space
-/// reduction hooks of [`crate::canon`], returning the full exploration
-/// statistics (including [`ReductionStats`]).
-///
-/// With `Reduction::none()` and no Bloom dedup this returns exactly the
-/// states of [`par_reachable_states_with`]; the shard-invariance of the
-/// output and the stats projection is pinned by `explore_determinism`.
-pub fn par_reachable_states_reduced<S>(
-    sys: &S,
-    initial: &[S::State],
-    inputs: &[S::Input],
-    limit: usize,
-    shards: usize,
-    dedup: Dedup,
-    reduction: &Reduction<S>,
-) -> (Vec<S::State>, ExploreStats)
-where
-    S: SharedSystem + Sync,
-    S::State: Send + Sync,
-    S::Input: Sync,
-{
-    explore(sys, initial, inputs, limit, shards, None, dedup, reduction)
 }
 
 /// Bounded, order-preserving buffer of violation candidates: per condition,
@@ -820,7 +528,7 @@ where
     })
 }
 
-/// The parallel Proof of Separability checker.
+/// The frontier-sharded Proof of Separability checker.
 ///
 /// Report-identical to [`crate::check::SeparabilityChecker`] for every
 /// shard count (see the `differential_checker` test suite), and faster:
@@ -835,10 +543,8 @@ pub struct ParallelSeparabilityChecker {
     /// continues, counting only). Must match the sequential checker's cap
     /// for differential comparisons.
     pub max_violations_per_condition: usize,
-    /// Optional disk-backed seen-set spill for exploration.
-    pub spill: Option<SpillConfig>,
-    /// Seen-set policy during exploration: 16-byte fingerprints (default)
-    /// or full resident states.
+    /// Seen-set policy during exploration: fingerprints (default),
+    /// optionally behind a Bloom pre-filter.
     pub dedup: Dedup,
 }
 
@@ -848,15 +554,8 @@ impl ParallelSeparabilityChecker {
         ParallelSeparabilityChecker {
             shards: shards.max(1),
             max_violations_per_condition: 3,
-            spill: None,
             dedup: Dedup::default(),
         }
-    }
-
-    /// Enables the disk-backed seen-set spill during exploration.
-    pub fn with_spill(mut self, spill: SpillConfig) -> ParallelSeparabilityChecker {
-        self.spill = Some(spill);
-        self
     }
 
     /// Selects the exploration seen-set policy.
@@ -883,9 +582,9 @@ impl ParallelSeparabilityChecker {
         self.check_states(sys, abstractions, &states, &inputs, &ops)
     }
 
-    /// Explores reachable states with the parallel sharded BFS, then checks
-    /// the six conditions over them. Returns the report plus exploration
-    /// statistics (frontier depth, per-shard ownership, spill counters).
+    /// Explores reachable states with the sharded BFS, then checks the six
+    /// conditions over them. Returns the report plus exploration statistics
+    /// (frontier depth, per-shard ownership, reduction counters).
     ///
     /// The caller decides what truncation means for it; the report covers
     /// whatever prefix was explored, exactly like the sequential checker
@@ -932,13 +631,12 @@ impl ParallelSeparabilityChecker {
         A::AState: Send + Sync,
     {
         let inputs = sys.inputs();
-        let (states, stats) = explore(
+        let (states, stats) = par_explore(
             sys,
             initial,
             &inputs,
             limit,
             self.shards,
-            self.spill.as_ref(),
             self.dedup,
             reduction,
         );
@@ -1301,57 +999,43 @@ mod tests {
     }
 
     #[test]
-    fn exact_dedup_matches_fingerprint_dedup() {
+    fn explored_check_matches_the_reference_state_set() {
         let m = DemoMachine::secure(4);
+        let inputs = m.inputs();
+        let (reference, _) = reachable_states(&m, &[m.initial()], &inputs, 100_000);
         for shards in [1, 2, 4] {
-            let fp = ParallelSeparabilityChecker::new(shards);
-            let exact = ParallelSeparabilityChecker::new(shards).with_dedup(Dedup::Exact);
-            let (rep_fp, st_fp) = fp.check_explored(&m, &m.abstractions(), &[m.initial()], 100_000);
-            let (rep_ex, st_ex) =
-                exact.check_explored(&m, &m.abstractions(), &[m.initial()], 100_000);
-            assert_eq!(rep_fp, rep_ex, "shards {shards}");
-            assert_eq!(st_fp.states, st_ex.states);
-            // Fingerprint stats report the 16-byte-per-state footprint.
-            assert_eq!(st_fp.fp_states, st_fp.states as u64);
-            assert_eq!(st_fp.fp_bytes, 16 * st_fp.states as u64);
-            assert_eq!(st_ex.fp_states, 0);
-            assert_eq!(st_ex.fp_bytes, 0);
+            let (report, stats) = ParallelSeparabilityChecker::new(shards).check_explored(
+                &m,
+                &m.abstractions(),
+                &[m.initial()],
+                100_000,
+            );
+            assert!(report.is_separable(), "shards {shards}: {report}");
+            assert_eq!(report.states, reference.len(), "shards {shards}");
+            assert_eq!(stats.states, reference.len(), "shards {shards}");
+            // The seen-set costs 16 bytes per state.
+            assert_eq!(stats.fp_bytes, 16 * reference.len() as u64);
         }
     }
 
     #[test]
-    fn exact_dedup_matches_sequential_order() {
+    fn bloom_dedup_matches_the_reference_order() {
         let m = DemoMachine::secure(4);
         let inputs = m.inputs();
-        let (seq, _) = reachable_states(&m, &[m.initial()], &inputs, 100_000);
+        let (reference, _) = reachable_states(&m, &[m.initial()], &inputs, 100_000);
         for shards in [1, 4] {
-            let (par, t) = par_reachable_states_with(
+            let (par, stats) = par_explore(
                 &m,
                 &[m.initial()],
                 &inputs,
                 100_000,
                 shards,
-                Dedup::Exact,
+                Dedup::Bloom(crate::fp::BloomParams::default()),
+                &Reduction::none(),
             );
-            assert!(!t);
-            assert_eq!(seq, par, "shards {shards}");
+            assert!(!stats.truncated);
+            assert_eq!(reference, par, "shards {shards}");
+            assert!(stats.reduction.bloom_negatives > 0, "Bloom never engaged");
         }
-    }
-
-    #[test]
-    fn spill_preserves_the_report_and_counts_runs() {
-        let m = DemoMachine::secure(4);
-        let plain = ParallelSeparabilityChecker::new(2);
-        let (rep_plain, st_plain) =
-            plain.check_explored(&m, &m.abstractions(), &[m.initial()], 100_000);
-        let spilly = ParallelSeparabilityChecker::new(2).with_spill(SpillConfig::new(4));
-        let (rep_spill, stats) =
-            spilly.check_explored(&m, &m.abstractions(), &[m.initial()], 100_000);
-        assert_eq!(rep_plain, rep_spill);
-        assert!(rep_spill.is_separable());
-        assert!(!stats.truncated);
-        assert_eq!(st_plain.states, stats.states);
-        let spilled: u64 = stats.per_shard.iter().map(|s| s.spilled).sum();
-        assert!(spilled > 0, "spill must actually engage: {stats:?}");
     }
 }

@@ -1,5 +1,6 @@
-//! The differential checker harness: the frontier-sharded parallel checker
-//! must produce a [`CheckReport`] **equal** to the sequential checker's —
+//! The differential checker harness: the frontier-sharded production
+//! checker must produce a [`CheckReport`] **equal** to the reference
+//! checker's (sequential conditions over the naive exact-dedup explorer) —
 //! same state/op/input counts, same per-condition check counters, same
 //! violation set in the same order with the same witness text — for every
 //! workload, mutation, and shard count. `CheckReport` derives `Eq`, so a
@@ -7,14 +8,15 @@
 //!
 //! Runs against the real kernel (`sep-kernel` + `sep-bench` workloads — a
 //! dev-only dependency cycle Cargo permits) and against the model's own
-//! demo machine with every seeded leak.
+//! demo machine with every seeded leak. One kernel leg is wide enough that
+//! the threaded expansion and dedup path runs, and asserts that it did.
 
-use sep_bench::{memory_workload, register_workload};
+use sep_bench::{memory_workload, register_workload, symmetric_workload};
 use sep_kernel::config::{KernelConfig, Mutation};
 use sep_kernel::verify::{CheckerSelect, KernelSystem};
 use sep_model::check::{CheckReport, Condition, SeparabilityChecker};
 use sep_model::demo::{DemoMachine, Leak};
-use sep_model::parallel::{ParallelSeparabilityChecker, SpillConfig};
+use sep_model::parallel::ParallelSeparabilityChecker;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -99,26 +101,30 @@ fn demo_machine_leaks_are_shard_invariant() {
 }
 
 #[test]
-fn spilling_seen_set_does_not_change_the_report() {
-    let sys = KernelSystem::new(memory_workload(2)).unwrap();
-    let seq = sys.check_with(&CheckerSelect::Sequential);
-    for shards in [2usize, 4] {
-        let (par, stats) = sys.check_with_stats(&CheckerSelect::ShardedSpill {
-            shards,
-            max_resident: 4,
-        });
-        assert_eq!(seq, par, "spilling, shards {shards}");
+fn wide_levels_run_threaded_and_match_the_reference() {
+    // The register and memory legs are chain-shaped (one input, frontier
+    // width 1), below the inline threshold `width * inputs >= shards * 8`,
+    // so they never reach the threaded expansion and dedup. Three
+    // symmetric regimes fed host bytes, with no reductions, reach a
+    // frontier of 54 states under 4 inputs: wide enough to thread at every
+    // shard count tested.
+    let sys = KernelSystem::new(symmetric_workload(3))
+        .unwrap()
+        .with_input_bytes(&[1]);
+    let reference = sys.check_with(&CheckerSelect::Sequential);
+    assert!(reference.is_separable(), "{reference}");
+    for shards in SHARD_COUNTS {
+        let (par, stats) = sys.check_with_stats(&CheckerSelect::Sharded { shards });
         let stats = stats.expect("sharded runs report stats");
-        let spilled: u64 = stats.per_shard.iter().map(|s| s.spilled).sum();
-        assert!(spilled > 0, "spill must engage: {stats:?}");
+        assert_eq!(reference, par, "wide leg, shards {shards}");
+        assert_eq!(stats.max_frontier, 54, "wide leg, shards {shards}");
+        if shards > 1 {
+            assert!(
+                stats.threaded_levels > 0,
+                "shards {shards}: the threaded path never ran: {stats:?}"
+            );
+        } else {
+            assert_eq!(stats.threaded_levels, 0, "one shard always runs inline");
+        }
     }
-    // Spill on the demo machine too, through the model-level API.
-    let m = DemoMachine::secure(4);
-    let abstractions = m.abstractions();
-    let plain = ParallelSeparabilityChecker::new(2);
-    let (rep_plain, _) = plain.check_explored(&m, &abstractions, &[m.initial()], 100_000);
-    let spilly = ParallelSeparabilityChecker::new(2).with_spill(SpillConfig::new(4));
-    let (rep_spill, stats) = spilly.check_explored(&m, &abstractions, &[m.initial()], 100_000);
-    assert_eq!(rep_plain, rep_spill);
-    assert!(stats.per_shard.iter().any(|s| s.spill_runs > 0));
 }

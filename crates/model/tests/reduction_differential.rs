@@ -3,15 +3,21 @@
 //! partial-order ample-set selector, the Bloom pre-filter — must not
 //! change what the Proof of Separability concludes.
 //!
-//! Three properties are pinned, for every workload family, every kernel
-//! mutant, and every on/off combination of the three reductions:
+//! The oracle is the reference checker (`CheckerSelect::Sequential`): the
+//! sequential conditions over the naive exact-dedup explorer, which never
+//! reduces whatever the knobs say. Reductions live in the frontier-sharded
+//! checker alone. Four properties are pinned, for every workload family,
+//! every kernel mutant, and every on/off combination of the three
+//! reductions:
 //!
-//! 1. **Verdict soundness** — the verdict and the *set of violated
-//!    conditions* equal the unreduced checker's.
-//! 2. **Shard invariance** — with reductions on, the sequential and
-//!    frontier-sharded checkers still produce byte-identical
+//! 1. **Verdict soundness** — the sharded verdict and the *set of violated
+//!    conditions* equal the unreduced reference's.
+//! 2. **Shard invariance** — the sharded checker produces byte-identical
 //!    [`CheckReport`]s (`CheckReport` derives `Eq`) at every shard count.
-//! 3. **Coverage families** — memory, register, channel, fault-op, and
+//! 3. **Exactness without pruning** — combinations with symmetry and
+//!    partial order both off (plain, Bloom-only) explore the unreduced
+//!    space, so their sharded report equals the reference report.
+//! 4. **Coverage families** — memory, register, channel, fault-op, and
 //!    scheduler (static-cyclic) workloads all go through the same gauntlet,
 //!    so a reduction cannot be sound merely because a workload never
 //!    exercises it.
@@ -71,37 +77,57 @@ fn system(
     sys
 }
 
-/// The core gauntlet: for every reduction combination, the sequential
-/// verdict and violated-condition set must equal the unreduced baseline's,
-/// and the sharded checker must reproduce the sequential report byte for
-/// byte. Shard counts rotate across combos to cover the product without
-/// running all of it; the all-on combo gets the full sweep separately.
+/// Pins one combination's sharded report against the reference: same
+/// verdict and violated conditions always, the identical report when
+/// neither symmetry nor partial order prunes.
+fn assert_matches_reference(
+    sharded: &CheckReport,
+    reference: &CheckReport,
+    (sym, por, bloom): (bool, bool, bool),
+    label: &str,
+) {
+    let combo = (sym, por, bloom);
+    assert_eq!(
+        sharded.is_separable(),
+        reference.is_separable(),
+        "{label}, combo {combo:?}: reduction changed the verdict"
+    );
+    assert_eq!(
+        violated(sharded),
+        violated(reference),
+        "{label}, combo {combo:?}: reduction changed the violated conditions"
+    );
+    if !sym && !por {
+        assert_eq!(
+            sharded, reference,
+            "{label}, combo {combo:?}: unreduced sharded report diverged from the reference"
+        );
+    }
+}
+
+/// The core gauntlet: for every reduction combination, the sharded
+/// checker matches the unreduced reference (see
+/// [`assert_matches_reference`]), and its report is the same at one shard
+/// and at a second shard count. The second count rotates across combos to
+/// cover the product without running all of it; the all-on combo gets the
+/// full sweep separately.
 fn assert_reduction_differential(
     make: impl Fn() -> KernelConfig,
     bytes: &[u8],
     fault_ops: bool,
     label: &str,
 ) -> CheckReport {
-    let baseline =
+    let reference =
         system(make(), bytes, fault_ops, COMBOS[0]).check_with(&CheckerSelect::Sequential);
     for (i, combo) in COMBOS.into_iter().enumerate() {
         let sys = system(make(), bytes, fault_ops, combo);
-        let seq = sys.check_with(&CheckerSelect::Sequential);
-        assert_eq!(
-            seq.is_separable(),
-            baseline.is_separable(),
-            "{label}, combo {combo:?}: reduction changed the verdict"
-        );
-        assert_eq!(
-            violated(&seq),
-            violated(&baseline),
-            "{label}, combo {combo:?}: reduction changed the violated conditions"
-        );
-        let shards = SHARD_COUNTS[i % SHARD_COUNTS.len()];
+        let one = sys.check_with(&CheckerSelect::Sharded { shards: 1 });
+        assert_matches_reference(&one, &reference, combo, label);
+        let shards = SHARD_COUNTS[1 + i % (SHARD_COUNTS.len() - 1)];
         let par = sys.check_with(&CheckerSelect::Sharded { shards });
-        assert_eq!(seq, par, "{label}, combo {combo:?}, shards {shards}");
+        assert_eq!(one, par, "{label}, combo {combo:?}, shards {shards}");
     }
-    baseline
+    reference
 }
 
 const SENDER: &str = "
@@ -226,35 +252,27 @@ fn mutant_matrix_is_reduction_invariant() {
             cfg.mutation = mutation;
             cfg
         };
-        let baseline = system(make(), &[], false, COMBOS[0]).check_with(&CheckerSelect::Sequential);
+        let reference =
+            system(make(), &[], false, COMBOS[0]).check_with(&CheckerSelect::Sequential);
         if mutation == Mutation::None {
-            assert!(baseline.is_separable(), "unmutated kernel must pass");
+            assert!(reference.is_separable(), "unmutated kernel must pass");
         } else {
             assert!(
-                !baseline.is_separable(),
-                "mutant {mutation:?} must be caught: {baseline}"
+                !reference.is_separable(),
+                "mutant {mutation:?} must be caught: {reference}"
             );
         }
         for combo in COMBOS {
             let sys = system(make(), &[], false, combo);
-            let seq = sys.check_with(&CheckerSelect::Sequential);
-            assert_eq!(
-                seq.is_separable(),
-                baseline.is_separable(),
-                "mutant {mutation:?}, combo {combo:?}: verdict changed"
-            );
-            assert_eq!(
-                violated(&seq),
-                violated(&baseline),
-                "mutant {mutation:?}, combo {combo:?}: violated conditions changed"
-            );
+            let par = sys.check_with(&CheckerSelect::Sharded { shards: 2 });
+            assert_matches_reference(&par, &reference, combo, &format!("mutant {mutation:?}"));
         }
         // Shard invariance for the mutant under the all-on combo (the
         // per-combo shard sweep lives in the workload tests above).
         let sys = system(make(), &[], false, (true, true, true));
-        let seq = sys.check_with(&CheckerSelect::Sequential);
+        let one = sys.check_with(&CheckerSelect::Sharded { shards: 1 });
         let par = sys.check_with(&CheckerSelect::Sharded { shards: 2 });
-        assert_eq!(seq, par, "mutant {mutation:?}: sharded report diverged");
+        assert_eq!(one, par, "mutant {mutation:?}: sharded report diverged");
     }
 }
 
@@ -262,12 +280,16 @@ fn mutant_matrix_is_reduction_invariant() {
 fn full_shard_sweep_with_every_reduction_on() {
     // The all-on combo across the full shard-count sweep, on the workload
     // where the reductions prune hardest.
-    let sys = system(symmetric_workload(3), &[1], false, (true, true, true));
-    let seq = sys.check_with(&CheckerSelect::Sequential);
-    assert!(seq.is_separable(), "{seq}");
+    let combo = (true, true, true);
+    let reference = system(symmetric_workload(3), &[1], false, COMBOS[0])
+        .check_with(&CheckerSelect::Sequential);
+    let sys = system(symmetric_workload(3), &[1], false, combo);
+    let one = sys.check_with(&CheckerSelect::Sharded { shards: 1 });
+    assert!(one.is_separable(), "{one}");
+    assert_matches_reference(&one, &reference, combo, "symmetric(3)");
     for shards in SHARD_COUNTS {
         let par = sys.check_with(&CheckerSelect::Sharded { shards });
-        assert_eq!(seq, par, "shards {shards}");
+        assert_eq!(one, par, "shards {shards}");
     }
 }
 

@@ -54,12 +54,11 @@ pub struct DeviceCounters {
     pub dma_blocked: u64,
 }
 
-/// Counters for the machine's fast-path caches and the checker's
-/// fingerprint dedup.
+/// Counters for the machine's fast-path caches.
 ///
 /// These measure *how* a result was computed, never *what* was computed:
-/// the decoded-instruction cache and the software TLB are semantically
-/// invisible, and fingerprint dedup commits the same states. They are
+/// the decoded-instruction cache, the software TLB and the superblock tier
+/// are semantically invisible. They are
 /// therefore kept out of the default run-report serialization
 /// ([`crate::report::metrics_json`]) — a report must be byte-identical
 /// with the fast path on and off — and surfaced explicitly by the E10
@@ -88,10 +87,6 @@ pub struct HotPathCounters {
     pub sb_flushes: u64,
     /// Instructions retired inside superblocks (subset of the run total).
     pub sb_instructions: u64,
-    /// States the checker deduplicated by 128-bit fingerprint.
-    pub fp_states: u64,
-    /// Resident seen-set bytes under fingerprint dedup (16 per state).
-    pub fp_bytes: u64,
 }
 
 /// System-wide totals (also the cross-check for the per-regime tables).
@@ -133,8 +128,8 @@ pub struct Totals {
 pub struct Metrics {
     /// System totals.
     pub totals: Totals,
-    /// Fast-path cache and fingerprint-dedup counters (excluded from the
-    /// default report serialization; see [`HotPathCounters`]).
+    /// Fast-path cache counters (excluded from the default report
+    /// serialization; see [`HotPathCounters`]).
     pub hotpath: HotPathCounters,
     regimes: Vec<(String, RegimeCounters)>,
     devices: Vec<(String, DeviceCounters)>,

@@ -223,7 +223,7 @@ pub fn metrics_json(m: &Metrics) -> Json {
         .field("devices", devices)
 }
 
-/// The fast-path cache and fingerprint-dedup counters as JSON.
+/// The fast-path cache counters as JSON.
 ///
 /// Deliberately **not** part of [`metrics_json`]: hit/miss ratios describe
 /// how a run was computed, not what it computed, and folding them into the
@@ -251,8 +251,6 @@ pub fn hotpath_json(m: &Metrics) -> Json {
         .field("sb_chains", h.sb_chains)
         .field("sb_flushes", h.sb_flushes)
         .field("sb_instructions", h.sb_instructions)
-        .field("fp_states", h.fp_states)
-        .field("fp_bytes", h.fp_bytes)
 }
 
 /// A trace as JSON: counts always, plus up to `keep_events` rendered

@@ -10,11 +10,11 @@ cargo build --release --workspace
 echo "==> test"
 cargo test -q --workspace
 
-echo "==> differential checker suite (release: parallel vs sequential)"
+echo "==> differential checker suite (release: sharded vs reference checker)"
 cargo test --release -q -p sep-model --test differential_checker \
   --test explore_determinism
 
-echo "==> reduction differential suite (release: symmetry/POR/Bloom soundness)"
+echo "==> reduction differential suite (release: symmetry/POR/Bloom vs the unreduced reference)"
 cargo test --release -q -p sep-model --test reduction_differential
 
 echo "==> e2 PoS bench (reduction sweep >=10x; verdicts pinned across all combos)"
@@ -33,7 +33,8 @@ cargo run -q --release -p sep-bench --bin e9_fault_storm > /dev/null
 test -s BENCH_obs_e9_fault_storm.json
 
 echo "==> hot-path differential suite (release: slow vs decode vs superblock tier,"
-echo "    side exits, self-modifying code, clone hygiene, fp vs exact dedup)"
+echo "    side exits, self-modifying code, clone hygiene, sharded fingerprint dedup"
+echo "    vs the reference's exact dedup)"
 cargo test --release -q -p sep-machine --test hotpath
 cargo test --release -q -p sep-kernel --test hotpath_differential
 
@@ -58,6 +59,9 @@ echo "==> e12 crash-recovery bench (reboot, epoch resync, exactly-once retry;"
 echo "    bystander byte-identity, zero duplicate commits, goodput recovery)"
 cargo run -q --release -p sep-bench --bin e12_crash_recovery > /dev/null
 test -s BENCH_obs_e12_crash_recovery.json
+
+echo "==> benchmark smoke tests (every workload at a tiny size, every metric declared)"
+cargo test --release --offline --manifest-path layerbench/Cargo.toml
 
 echo "==> clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
