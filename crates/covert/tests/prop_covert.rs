@@ -1,74 +1,99 @@
-//! Gated behind the `ext-tests` feature: this suite needs the `proptest`
-//! crate, which the offline tier-1 environment cannot download. Restore the
-//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
-#![cfg(feature = "ext-tests")]
-
 //! Property tests for the information-theoretic estimators.
 
-use proptest::prelude::*;
 use sep_covert::channel::score_transfer;
 use sep_covert::estimate::{binary_entropy, bsc_capacity, entropy, mutual_information};
+use sep_model::prop::{check, Gen};
 
-proptest! {
-    #[test]
-    fn entropy_is_bounded(xs in prop::collection::vec(0u8..8, 1..300)) {
-        let h = entropy(&xs);
-        let distinct = xs.iter().collect::<std::collections::HashSet<_>>().len();
-        prop_assert!(h >= -1e-9);
-        prop_assert!(h <= (distinct as f64).log2() + 1e-9);
-    }
+/// Paired symbols over `0..4`, split into the two sequences.
+fn pairs(g: &mut Gen, len: std::ops::Range<usize>) -> (Vec<u8>, Vec<u8>) {
+    g.vec(len, |g| (g.int(0u8..4), g.int(0u8..4)))
+        .into_iter()
+        .unzip()
+}
 
-    #[test]
-    fn mutual_information_is_nonnegative_and_bounded(
-        pairs in prop::collection::vec((0u8..4, 0u8..4), 1..300),
-    ) {
-        let xs: Vec<u8> = pairs.iter().map(|p| p.0).collect();
-        let ys: Vec<u8> = pairs.iter().map(|p| p.1).collect();
-        let mi = mutual_information(&xs, &ys);
-        prop_assert!(mi >= -1e-9, "{mi}");
-        prop_assert!(mi <= entropy(&xs) + 1e-9);
-        prop_assert!(mi <= entropy(&ys) + 1e-9);
-    }
+fn bytes(g: &mut Gen, len: std::ops::Range<usize>) -> Vec<u8> {
+    g.vec(len, |g| g.int(..))
+}
 
-    #[test]
-    fn mi_symmetry(pairs in prop::collection::vec((0u8..4, 0u8..4), 1..200)) {
-        let xs: Vec<u8> = pairs.iter().map(|p| p.0).collect();
-        let ys: Vec<u8> = pairs.iter().map(|p| p.1).collect();
-        let a = mutual_information(&xs, &ys);
-        let b = mutual_information(&ys, &xs);
-        prop_assert!((a - b).abs() < 1e-9);
-    }
+#[test]
+fn entropy_is_bounded() {
+    check(
+        256,
+        |g| g.vec(1..300, |g| g.int(0u8..8)),
+        |xs| {
+            let h = entropy(&xs);
+            let distinct = xs.iter().collect::<std::collections::HashSet<_>>().len();
+            assert!(h >= -1e-9);
+            assert!(h <= (distinct as f64).log2() + 1e-9);
+        },
+    );
+}
 
-    #[test]
-    fn binary_entropy_symmetry(p in 0.0f64..=1.0) {
-        prop_assert!((binary_entropy(p) - binary_entropy(1.0 - p)).abs() < 1e-9);
-        prop_assert!(binary_entropy(p) >= -1e-9 && binary_entropy(p) <= 1.0 + 1e-9);
-    }
+#[test]
+fn mutual_information_is_nonnegative_and_bounded() {
+    check(
+        256,
+        |g| pairs(g, 1..300),
+        |(xs, ys)| {
+            let mi = mutual_information(&xs, &ys);
+            assert!(mi >= -1e-9, "{mi}");
+            assert!(mi <= entropy(&xs) + 1e-9);
+            assert!(mi <= entropy(&ys) + 1e-9);
+        },
+    );
+}
 
-    #[test]
-    fn bsc_capacity_bounded(p in 0.0f64..=1.0) {
+#[test]
+fn mi_symmetry() {
+    check(
+        256,
+        |g| pairs(g, 1..200),
+        |(xs, ys)| {
+            let a = mutual_information(&xs, &ys);
+            let b = mutual_information(&ys, &xs);
+            assert!((a - b).abs() < 1e-9);
+        },
+    );
+}
+
+#[test]
+fn binary_entropy_symmetry() {
+    check(256, Gen::unit, |p| {
+        assert!((binary_entropy(p) - binary_entropy(1.0 - p)).abs() < 1e-9);
+        assert!(binary_entropy(p) >= -1e-9 && binary_entropy(p) <= 1.0 + 1e-9);
+    });
+}
+
+#[test]
+fn bsc_capacity_bounded() {
+    check(256, Gen::unit, |p| {
         let c = bsc_capacity(p);
-        prop_assert!((0.0..=1.0).contains(&(c + 1e-12)));
-    }
+        assert!((0.0..=1.0).contains(&(c + 1e-12)));
+    });
+}
 
-    #[test]
-    fn score_transfer_is_lawful(
-        secret in prop::collection::vec(any::<u8>(), 0..64),
-        recovered in prop::collection::vec(any::<u8>(), 0..64),
-        rounds in 1u64..10_000,
-    ) {
+#[test]
+fn score_transfer_is_lawful() {
+    let gen = |g: &mut Gen| (bytes(g, 0..64), bytes(g, 0..64), g.int(1u64..10_000));
+    check(256, gen, |(secret, recovered, rounds)| {
         let s = score_transfer(&secret, &recovered, rounds);
-        prop_assert_eq!(s.bits_attempted, secret.len() * 8);
-        prop_assert!(s.bits_correct <= s.bits_attempted);
-        prop_assert!((0.0..=1.0).contains(&s.error_rate), "{}", s.error_rate);
-        prop_assert!(s.bits_per_round >= 0.0);
-        prop_assert!(s.bits_per_round <= s.bits_attempted as f64 / rounds as f64 + 1e-9);
-    }
+        assert_eq!(s.bits_attempted, secret.len() * 8);
+        assert!(s.bits_correct <= s.bits_attempted);
+        assert!((0.0..=1.0).contains(&s.error_rate), "{}", s.error_rate);
+        assert!(s.bits_per_round >= 0.0);
+        assert!(s.bits_per_round <= s.bits_attempted as f64 / rounds as f64 + 1e-9);
+    });
+}
 
-    #[test]
-    fn perfect_recovery_scores_zero_error(secret in prop::collection::vec(any::<u8>(), 1..64)) {
-        let s = score_transfer(&secret, &secret, 100);
-        prop_assert!(s.error_rate.abs() < 1e-12);
-        prop_assert_eq!(s.bits_correct, s.bits_attempted);
-    }
+#[test]
+fn perfect_recovery_scores_zero_error() {
+    check(
+        256,
+        |g| bytes(g, 1..64),
+        |secret| {
+            let s = score_transfer(&secret, &secret, 100);
+            assert!(s.error_rate.abs() < 1e-12);
+            assert_eq!(s.bits_correct, s.bits_attempted);
+        },
+    );
 }

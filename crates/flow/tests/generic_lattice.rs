@@ -1,8 +1,3 @@
-//! Gated behind the `ext-tests` feature: this suite needs the `proptest`
-//! crate, which the offline tier-1 environment cannot download. Restore the
-//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
-#![cfg(feature = "ext-tests")]
-
 //! IFA is generic in the lattice: certification works identically over the
 //! subset lattice (need-to-know compartments) and the full military
 //! level × category lattice, not just Low/High.
@@ -79,24 +74,38 @@ fn certification_over_the_military_lattice() {
 }
 
 mod fuzz {
-    use proptest::prelude::*;
     use sep_flow::parse;
+    use sep_model::prop::check;
 
-    proptest! {
-        /// The parser returns errors, never panics, on arbitrary input.
-        #[test]
-        fn parser_never_panics(src in "[a-z0-9 :;=<>\\[\\]()+*/-]{0,80}") {
-            let _ = parse(&src);
-        }
+    const LOWER_DIGITS: &str = "abcdefghijklmnopqrstuvwxyz0123456789";
 
-        /// Interpreting any *parsed* program with bounded fuel never panics.
-        #[test]
-        fn interpreter_never_panics(src in "[a-z0-9 :;=<>()+-]{0,60}") {
-            if let Ok(p) = parse(&src) {
-                let mut env = sep_flow::interp::initial_env(&p);
-                let _ = sep_flow::run_program(&p, &mut env, 1000);
-            }
-        }
+    /// The parser returns errors, never panics, on arbitrary input.
+    #[test]
+    fn parser_never_panics() {
+        let alphabet = format!("{LOWER_DIGITS} :;=<>[]()+*/-");
+        check(
+            256,
+            |g| g.string(&alphabet, 0..81),
+            |src| {
+                let _ = parse(&src);
+            },
+        );
+    }
+
+    /// Interpreting any *parsed* program with bounded fuel never panics.
+    #[test]
+    fn interpreter_never_panics() {
+        let alphabet = format!("{LOWER_DIGITS} :;=<>()+-");
+        check(
+            256,
+            |g| g.string(&alphabet, 0..61),
+            |src| {
+                if let Ok(p) = parse(&src) {
+                    let mut env = sep_flow::interp::initial_env(&p);
+                    let _ = sep_flow::run_program(&p, &mut env, 1000);
+                }
+            },
+        );
     }
 }
 

@@ -289,17 +289,8 @@ pub struct KernelConfig {
     /// When set, cut channels (the wire-cutting argument): `SEND` feeds a
     /// private never-drained stub, `RECV` always reports empty.
     pub channels_cut: bool,
-    /// The scheduling policy. The legacy `quantum`/`fixed_slot` knobs below
-    /// are absorbed into it at boot (see [`KernelConfig::effective_sched`]).
+    /// The scheduling policy.
     pub sched: SchedPolicy,
-    /// Optional preemption quantum in steps (legacy knob; equivalent to
-    /// `SchedPolicy::FixedTimeSlice` and normalized into `sched` at boot).
-    pub quantum: Option<u64>,
-    /// With `quantum`, pad every slot to its full length: a regime that
-    /// yields early donates the remainder to *nobody* (the kernel idles).
-    /// This is the classic countermeasure to scheduling timing channels —
-    /// ablation A1 measures exactly what it buys.
-    pub fixed_slot: bool,
     /// Honour DMA requests (the SUE never does).
     pub allow_dma: bool,
     /// Deliberate sabotage for the verification experiments.
@@ -330,18 +321,6 @@ impl KernelConfig {
     pub fn with_sched(mut self, sched: SchedPolicy) -> KernelConfig {
         self.sched = sched;
         self
-    }
-
-    /// The scheduling policy with the legacy `quantum`/`fixed_slot` knobs
-    /// folded in: a quantum on the default policy means fixed time slices.
-    pub fn effective_sched(&self) -> SchedPolicy {
-        match (&self.sched, self.quantum) {
-            (SchedPolicy::RoundRobin, Some(q)) => SchedPolicy::FixedTimeSlice {
-                quantum: q,
-                padded: self.fixed_slot,
-            },
-            _ => self.sched.clone(),
-        }
     }
 
     /// Enables event tracing into a ring of `capacity` events,

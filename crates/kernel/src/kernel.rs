@@ -224,7 +224,7 @@ pub struct SeparationKernel {
     pub stats: KernelStats,
     current: usize,
     mutation: Mutation,
-    /// The scheduling policy (built from `KernelConfig::effective_sched`).
+    /// The scheduling policy (built from `KernelConfig::sched`).
     sched: Box<dyn Scheduler>,
     /// Steps left in the current slice (0 under sliceless policies).
     quantum_left: u64,
@@ -416,13 +416,12 @@ impl SeparationKernel {
             .map(|spec| Channel::new(*spec, config.channels_cut))
             .collect();
 
-        let sched = config.effective_sched();
-        if let crate::config::SchedPolicy::StaticCyclic { table } = &sched {
+        if let crate::config::SchedPolicy::StaticCyclic { table } = &config.sched {
             if table.is_empty() || table.iter().any(|&r| r >= config.regimes.len()) {
                 return Err(KernelError::BadSchedTable);
             }
         }
-        let sched = sched.build();
+        let sched = config.sched.build();
         let quantum_left = sched.slice(0).unwrap_or(0);
         let mut kernel = SeparationKernel {
             machine,
@@ -471,12 +470,6 @@ impl SeparationKernel {
     /// The configured mutation (sabotage) of this kernel.
     pub fn mutation(&self) -> Mutation {
         self.mutation
-    }
-
-    /// True when the scheduling policy preempts (an extension beyond the
-    /// SUE; refused by the verification adapter).
-    pub fn has_quantum(&self) -> bool {
-        self.sched.slice(self.current).is_some()
     }
 
     /// The active scheduling policy.

@@ -148,7 +148,7 @@ impl KernelSystem {
              (KernelConfig::cut_channels) — that is the wire-cutting argument"
         );
         assert!(
-            config.effective_sched().verifiable(),
+            config.sched.verifiable(),
             "verified configurations need a cooperative scheduling policy \
              (round-robin or static-cyclic): a preemptive policy switches \
              or pads without the regime executing, while its single-regime \
@@ -333,7 +333,7 @@ impl KernelSystem {
         let n = self.config.regimes.len();
         if n < 2
             || !self.config.channels.is_empty()
-            || !matches!(self.config.effective_sched(), SchedPolicy::RoundRobin)
+            || !matches!(self.config.sched, SchedPolicy::RoundRobin)
             || self.config.mutation == Mutation::ScratchInPartition
         {
             return Vec::new();
@@ -398,7 +398,7 @@ impl KernelSystem {
 
     /// Whether the scheduler can ever offer regime `r` a slot.
     fn schedulable(&self, r: usize) -> bool {
-        match self.config.effective_sched() {
+        match &self.config.sched {
             SchedPolicy::RoundRobin => true,
             SchedPolicy::StaticCyclic { table } => table.contains(&r),
             // `new` rejects preemptive policies outright.
@@ -726,8 +726,6 @@ impl RegimeAbstraction {
             // The single-regime machine always schedules its one regime;
             // round-robin expresses that under every verifiable policy.
             sched: crate::config::SchedPolicy::RoundRobin,
-            quantum: None,
-            fixed_slot: false,
             allow_dma: false,
             mutation: crate::config::Mutation::None,
             // Abstract machines never trace: their job is state equality,

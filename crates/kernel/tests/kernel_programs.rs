@@ -1,6 +1,6 @@
 //! End-to-end separation-kernel tests: regimes in real machine code.
 
-use sep_kernel::config::{DeviceSpec, KernelConfig, Mutation, RegimeSpec};
+use sep_kernel::config::{DeviceSpec, KernelConfig, Mutation, RegimeSpec, SchedPolicy};
 use sep_kernel::kernel::{KernelError, SeparationKernel};
 use sep_kernel::regime::{FaultCause, RegimeStatus};
 use sep_machine::asm::assemble;
@@ -335,11 +335,14 @@ myid:   .word 0o7777
 #[test]
 fn quantum_preempts_spinners() {
     let spinner = "loop: INC counter\n BR loop\ncounter: .word 0";
-    let mut cfg = KernelConfig::new(vec![
+    let cfg = KernelConfig::new(vec![
         RegimeSpec::assembly("a", spinner),
         RegimeSpec::assembly("b", spinner),
-    ]);
-    cfg.quantum = Some(16);
+    ])
+    .with_sched(SchedPolicy::FixedTimeSlice {
+        quantum: 16,
+        padded: false,
+    });
     let mut k = SeparationKernel::boot(cfg).unwrap();
     k.run(400);
     // Without preemption regime b would starve; with it both progress.

@@ -1,19 +1,14 @@
-//! Gated behind the `ext-tests` feature: this suite needs the `proptest`
-//! crate, which the offline tier-1 environment cannot download. Restore the
-//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
-#![cfg(feature = "ext-tests")]
-
 //! Property tests for the separation kernel: Proof of Separability holds
 //! over a whole *family* of randomized regime programs, and channels never
 //! lose, duplicate, or reorder messages.
 
-use proptest::prelude::*;
 use sep_kernel::channel::ChannelStatus;
 use sep_kernel::config::{KernelConfig, RegimeSpec};
 use sep_kernel::kernel::SeparationKernel;
 use sep_kernel::regime::{NativeAction, NativeRegime, RegimeIo};
 use sep_kernel::verify::KernelSystem;
 use sep_model::check::SeparabilityChecker;
+use sep_model::prop::{check, Gen};
 use std::any::Any;
 
 /// A randomized bounded register program: stride, modulus mask, scratch
@@ -36,26 +31,25 @@ start:  ADD #{stride}, R1
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The paper's claim, quantified over programs: ANY pair of bounded
-    /// register regimes yields a separable kernel.
-    #[test]
-    fn random_register_regimes_are_separable(
-        s1 in 1u16..6, s2 in 1u16..6,
-        m1 in 2u16..4, m2 in 2u16..4,
-        v1 in 1u16..1000, v2 in 1u16..1000,
-        c1 in any::<bool>(), c2 in any::<bool>(),
-    ) {
-        let cfg = KernelConfig::new(vec![
-            RegimeSpec::assembly("a", &regime_source(s1, m1, v1, c1)),
-            RegimeSpec::assembly("b", &regime_source(s2, m2, v2, c2)),
-        ]);
-        let sys = KernelSystem::new(cfg).unwrap();
-        let report = SeparabilityChecker::new().check(&sys, &sys.abstractions());
-        prop_assert!(report.is_separable(), "{report}");
-    }
+/// The paper's claim, quantified over programs: ANY pair of bounded
+/// register regimes yields a separable kernel.
+#[test]
+fn random_register_regimes_are_separable() {
+    // Stride, mask bits, scratch value and carry toggle of one regime.
+    let regime = |g: &mut Gen| (g.int(1u16..6), g.int(2u16..4), g.int(1u16..1000), g.bool());
+    check(
+        6,
+        |g| (regime(g), regime(g)),
+        |((s1, m1, v1, c1), (s2, m2, v2, c2))| {
+            let cfg = KernelConfig::new(vec![
+                RegimeSpec::assembly("a", &regime_source(s1, m1, v1, c1)),
+                RegimeSpec::assembly("b", &regime_source(s2, m2, v2, c2)),
+            ]);
+            let sys = KernelSystem::new(cfg).unwrap();
+            let report = SeparabilityChecker::new().check(&sys, &sys.abstractions());
+            assert!(report.is_separable(), "{report}");
+        },
+    );
 }
 
 /// A native sender that pushes numbered messages as fast as the channel
@@ -122,22 +116,33 @@ impl NativeRegime for Drainer {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Channels deliver exactly the sent sequence: no loss, duplication, or
-    /// reordering, for any receiver appetite pattern and channel capacity.
-    #[test]
-    fn channels_are_lossless_fifos(
-        appetite in prop::collection::vec(0u8..4, 1..8),
-        capacity in 1usize..6,
-        steps in 50u64..300,
-    ) {
+/// Channels deliver exactly the sent sequence: no loss, duplication, or
+/// reordering, for any receiver appetite pattern and channel capacity.
+#[test]
+fn channels_are_lossless_fifos() {
+    let gen = |g: &mut Gen| {
+        (
+            g.vec(1..8, |g| g.int(0u8..4)),
+            g.int(1usize..6),
+            g.int(50u64..300),
+        )
+    };
+    check(16, gen, |(appetite, capacity, steps)| {
         let cfg = KernelConfig::new(vec![
-            RegimeSpec::native("pusher", Box::new(Pusher { next: 0, sent: Vec::new() })),
+            RegimeSpec::native(
+                "pusher",
+                Box::new(Pusher {
+                    next: 0,
+                    sent: Vec::new(),
+                }),
+            ),
             RegimeSpec::native(
                 "drainer",
-                Box::new(Drainer { appetite, pos: 0, received: Vec::new() }),
+                Box::new(Drainer {
+                    appetite,
+                    pos: 0,
+                    received: Vec::new(),
+                }),
             ),
         ])
         .with_channel(0, 1, capacity);
@@ -149,15 +154,19 @@ proptest! {
         };
         let received = {
             let d = k.regimes[1].native.as_mut().unwrap();
-            d.as_any().downcast_ref::<Drainer>().unwrap().received.clone()
+            d.as_any()
+                .downcast_ref::<Drainer>()
+                .unwrap()
+                .received
+                .clone()
         };
         // Received is a prefix of sent (the rest is still queued).
-        prop_assert!(received.len() <= sent.len());
-        prop_assert_eq!(&sent[..received.len()], &received[..]);
+        assert!(received.len() <= sent.len());
+        assert_eq!(&sent[..received.len()], &received[..]);
         // Conservation: everything sent is either received or in flight.
         let in_flight = k.channels[0].queue().len();
-        prop_assert_eq!(sent.len(), received.len() + in_flight);
-    }
+        assert_eq!(sent.len(), received.len() + in_flight);
+    });
 }
 
 #[test]

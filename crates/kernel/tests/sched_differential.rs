@@ -1,8 +1,7 @@
 //! Differential suite for the scheduler layer.
 //!
 //! The refactor's core promise: the `Scheduler` trait is policy only, so
-//! the default kernel is *bit for bit* the pre-trait kernel, the legacy
-//! `quantum`/`fixed_slot` knobs are exactly `FixedTimeSlice`, and the
+//! the default kernel is *bit for bit* the pre-trait kernel, and the
 //! cooperative policies verify under Proof of Separability (sequential and
 //! sharded checkers agreeing) while the preemptive ones are refused.
 
@@ -66,28 +65,6 @@ fn explicit_round_robin_is_byte_identical_to_the_default() {
     let base = fingerprint(channel_workload(), 2000);
     let explicit = fingerprint(channel_workload().with_sched(SchedPolicy::RoundRobin), 2000);
     assert_eq!(base, explicit);
-}
-
-#[test]
-fn legacy_quantum_knobs_are_exactly_fixed_time_slice() {
-    // `cfg.quantum`/`cfg.fixed_slot` survive as legacy spellings; boot
-    // normalizes them to `FixedTimeSlice`, so the explicit policy must be
-    // indistinguishable — padded and unpadded.
-    for padded in [false, true] {
-        let legacy = {
-            let mut cfg = channel_workload();
-            cfg.quantum = Some(6);
-            cfg.fixed_slot = padded;
-            cfg
-        };
-        let explicit =
-            channel_workload().with_sched(SchedPolicy::FixedTimeSlice { quantum: 6, padded });
-        assert_eq!(
-            fingerprint(legacy, 2000),
-            fingerprint(explicit, 2000),
-            "padded={padded}"
-        );
-    }
 }
 
 #[test]
@@ -294,14 +271,6 @@ fn lottery_is_refused_by_the_verifier() {
         quantum: 4,
         seed: 1,
     });
-    let _ = KernelSystem::new(cfg);
-}
-
-#[test]
-#[should_panic(expected = "cooperative")]
-fn legacy_quantum_knob_is_still_refused_by_the_verifier() {
-    let mut cfg = register_workload();
-    cfg.quantum = Some(4);
     let _ = KernelSystem::new(cfg);
 }
 

@@ -32,6 +32,8 @@
 //! * [`trace`] — per-colour observation traces and equivalence checking,
 //!   used to demonstrate that regimes cannot distinguish a separation-kernel
 //!   environment from a physically distributed one.
+//! * [`prop`] — the seeded property-test harness every crate's property
+//!   suites run on: fixed seed sequence, failing seed and input reported.
 //! * [`demo`] — a small two-colour demonstration machine (secure and leaky
 //!   variants) used in tests, documentation, and benchmarks.
 
@@ -46,6 +48,7 @@ pub mod explore;
 pub mod fp;
 pub mod objects;
 pub mod parallel;
+pub mod prop;
 pub mod rng;
 pub mod system;
 pub mod trace;

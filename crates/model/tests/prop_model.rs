@@ -1,12 +1,7 @@
-//! Gated behind the `ext-tests` feature: this suite needs the `proptest`
-//! crate, which the offline tier-1 environment cannot download. Restore the
-//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
-#![cfg(feature = "ext-tests")]
-
 //! Property tests for the formal model: the checker, wire-cutting, and
-//! exploration behave lawfully on randomized systems.
+//! exploration behave lawfully on randomized systems, and the sharded
+//! checker's report equals the reference checker's on them.
 
-use proptest::prelude::*;
 use sep_bench::symmetric_workload;
 use sep_kernel::verify::{canon_key, KernelState, KernelSystem};
 use sep_model::check::SeparabilityChecker;
@@ -14,6 +9,8 @@ use sep_model::cut::{check_isolation, cut};
 use sep_model::demo::{DemoMachine, Leak};
 use sep_model::explore::{reachable_states, SampledChecker};
 use sep_model::objects::{ObjRef, ObjectSystem};
+use sep_model::parallel::ParallelSeparabilityChecker;
+use sep_model::prop::{check, Gen};
 use sep_model::system::{Finite, SharedSystem};
 
 /// A symmetric kernel system with the reduction substrate wired up, plus
@@ -62,110 +59,158 @@ fn build_system(own: usize, shared: usize) -> (ObjectSystem, Vec<ObjRef>) {
     (sys, channels)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// Draws `build_system` sizes: `own` from `1..3`, `shared` from `shared`.
+fn sizes(g: &mut Gen, shared: std::ops::Range<usize>) -> (usize, usize) {
+    (g.int(1usize..3), g.int(shared))
+}
 
-    #[test]
-    fn private_systems_are_always_separable(own in 1usize..3) {
-        let (sys, _) = build_system(own, 0);
-        let report = SeparabilityChecker::new().check(&sys, &sys.object_abstractions());
-        prop_assert!(report.is_separable(), "{report}");
-    }
+#[test]
+fn private_systems_are_always_separable() {
+    check(
+        16,
+        |g| g.int(1usize..3),
+        |own| {
+            let (sys, _) = build_system(own, 0);
+            let report = SeparabilityChecker::new().check(&sys, &sys.object_abstractions());
+            assert!(report.is_separable(), "{report}");
+        },
+    );
+}
 
-    #[test]
-    fn shared_objects_always_fail_isolation(own in 1usize..3, shared in 1usize..3) {
-        let (sys, _) = build_system(own, shared);
-        prop_assert!(check_isolation(&sys).is_err());
-    }
+#[test]
+fn shared_objects_always_fail_isolation() {
+    check(
+        16,
+        |g| sizes(g, 1..3),
+        |(own, shared)| {
+            let (sys, _) = build_system(own, shared);
+            assert!(check_isolation(&sys).is_err());
+        },
+    );
+}
 
-    #[test]
-    fn cutting_all_channels_restores_isolation(own in 1usize..3, shared in 1usize..3) {
-        let (sys, channels) = build_system(own, shared);
-        let cut_sys = cut(&sys, &channels);
-        prop_assert!(check_isolation(&cut_sys.system).is_ok());
-        let report =
-            SeparabilityChecker::new().check(&cut_sys.system, &cut_sys.system.object_abstractions());
-        prop_assert!(report.is_separable(), "{report}");
-    }
+#[test]
+fn cutting_all_channels_restores_isolation() {
+    check(
+        16,
+        |g| sizes(g, 1..3),
+        |(own, shared)| {
+            let (sys, channels) = build_system(own, shared);
+            let cut_sys = cut(&sys, &channels);
+            assert!(check_isolation(&cut_sys.system).is_ok());
+            let report = SeparabilityChecker::new()
+                .check(&cut_sys.system, &cut_sys.system.object_abstractions());
+            assert!(report.is_separable(), "{report}");
+        },
+    );
+}
 
-    #[test]
-    fn cutting_some_channels_leaves_the_rest_detected(own in 1usize..2, shared in 2usize..4) {
-        let (sys, channels) = build_system(own, shared);
-        let cut_sys = cut(&sys, &channels[..shared - 1]);
-        // The uncut channel is still shared.
-        let uncut_name = format!("x{}", shared - 1);
-        match check_isolation(&cut_sys.system) {
-            Err(ws) => {
-                let found = ws.iter().any(|w| w.object == uncut_name);
-                prop_assert!(found, "witnesses: {ws:?}");
+#[test]
+fn cutting_some_channels_leaves_the_rest_detected() {
+    check(
+        16,
+        |g| (g.int(1usize..2), g.int(2usize..4)),
+        |(own, shared)| {
+            let (sys, channels) = build_system(own, shared);
+            let cut_sys = cut(&sys, &channels[..shared - 1]);
+            // The uncut channel is still shared.
+            let uncut_name = format!("x{}", shared - 1);
+            match check_isolation(&cut_sys.system) {
+                Err(ws) => {
+                    let found = ws.iter().any(|w| w.object == uncut_name);
+                    assert!(found, "witnesses: {ws:?}");
+                }
+                Ok(()) => panic!("missed the uncut channel"),
             }
-            Ok(()) => prop_assert!(false, "missed the uncut channel"),
-        }
-    }
+        },
+    );
+}
 
-    #[test]
-    fn reachability_is_deterministic_and_closed(own in 1usize..3) {
-        let (sys, _) = build_system(own, 0);
-        let (s1, t1) = reachable_states(&sys, &[sys.initial()], &[()], 100_000);
-        let (s2, _) = reachable_states(&sys, &[sys.initial()], &[()], 100_000);
-        prop_assert!(!t1);
-        prop_assert_eq!(&s1, &s2);
-        // Closure: stepping any reachable state stays in the set.
-        for s in &s1 {
-            let (_, next) = sys.step(s, &());
-            prop_assert!(s1.contains(&next));
-        }
-    }
+#[test]
+fn reachability_is_deterministic_and_closed() {
+    check(
+        16,
+        |g| g.int(1usize..3),
+        |own| {
+            let (sys, _) = build_system(own, 0);
+            let (s1, t1) = reachable_states(&sys, &[sys.initial()], &[()], 100_000);
+            let (s2, _) = reachable_states(&sys, &[sys.initial()], &[()], 100_000);
+            assert!(!t1);
+            assert_eq!(&s1, &s2);
+            // Closure: stepping any reachable state stays in the set.
+            for s in &s1 {
+                let (_, next) = sys.step(s, &());
+                assert!(s1.contains(&next));
+            }
+        },
+    );
+}
 
-    #[test]
-    fn sampled_checker_agrees_with_exhaustive_on_demo(seed in any::<u64>()) {
-        let secure = DemoMachine::secure(4);
-        let report = SampledChecker::new(seed, 16, 64).check(
-            &secure,
-            &secure.abstractions(),
-            &[secure.initial()],
-            &secure.inputs(),
-        );
-        prop_assert!(report.is_separable(), "{report}");
-    }
+#[test]
+fn sampled_checker_agrees_with_exhaustive_on_demo() {
+    check(
+        16,
+        |g| g.int::<u64>(..),
+        |seed| {
+            let secure = DemoMachine::secure(4);
+            let report = SampledChecker::new(seed, 16, 64).check(
+                &secure,
+                &secure.abstractions(),
+                &[secure.initial()],
+                &secure.inputs(),
+            );
+            assert!(report.is_separable(), "{report}");
+        },
+    );
+}
 
-    #[test]
-    fn canon_is_idempotent_and_rotation_invariant(
-        n in 2usize..4,
-        choices in proptest::collection::vec(any::<u8>(), 0..12),
-        rot_seed in any::<usize>(),
-    ) {
-        // The canonical key of a state must be (a) a pure function — two
-        // computations agree — and (b) invariant under every rotation the
-        // adapter declared valid: canon(rotate(s)) == canon(s). Together
-        // these make the orbit collapse of the symmetry reduction sound.
-        let (sys, _, s) = walk_symmetric(n, &choices);
-        let rotations = sys.valid_rotations();
-        prop_assert_eq!(rotations.len(), n - 1, "symmetric workload must rotate freely");
-        prop_assert_eq!(canon_key(&rotations, &s), canon_key(&rotations, &s));
-        let rot = 1 + rot_seed % (n - 1);
-        let mut rotated = s.kernel.clone();
-        rotated.rotate_regime_contents(rot);
-        let rs = KernelState::new(rotated);
-        prop_assert_eq!(
-            canon_key(&rotations, &rs),
-            canon_key(&rotations, &s),
-            "rotation by {} changed the canonical key", rot
-        );
-        // Rotating twice (composing group elements) stays in the orbit.
-        let mut twice = rs.kernel.clone();
-        twice.rotate_regime_contents(1 + (rot_seed / 7) % (n - 1));
-        prop_assert_eq!(
-            canon_key(&rotations, &KernelState::new(twice)),
-            canon_key(&rotations, &s)
-        );
-    }
+/// A symmetric-workload size and the input choices that walk it.
+fn walk(g: &mut Gen) -> (usize, Vec<u8>) {
+    (g.int(2usize..4), g.vec(0..12, |g| g.int(..)))
+}
 
-    #[test]
-    fn ample_never_drops_a_non_deferrable_input(
-        n in 2usize..4,
-        choices in proptest::collection::vec(any::<u8>(), 0..12),
-    ) {
+#[test]
+fn canon_is_idempotent_and_rotation_invariant() {
+    check(
+        16,
+        |g| (walk(g), g.int::<usize>(..)),
+        |((n, choices), rot_seed)| {
+            // The canonical key of a state must be (a) a pure function — two
+            // computations agree — and (b) invariant under every rotation the
+            // adapter declared valid: canon(rotate(s)) == canon(s). Together
+            // these make the orbit collapse of the symmetry reduction sound.
+            let (sys, _, s) = walk_symmetric(n, &choices);
+            let rotations = sys.valid_rotations();
+            assert_eq!(
+                rotations.len(),
+                n - 1,
+                "symmetric workload must rotate freely"
+            );
+            assert_eq!(canon_key(&rotations, &s), canon_key(&rotations, &s));
+            let rot = 1 + rot_seed % (n - 1);
+            let mut rotated = s.kernel.clone();
+            rotated.rotate_regime_contents(rot);
+            let rs = KernelState::new(rotated);
+            assert_eq!(
+                canon_key(&rotations, &rs),
+                canon_key(&rotations, &s),
+                "rotation by {} changed the canonical key",
+                rot
+            );
+            // Rotating twice (composing group elements) stays in the orbit.
+            let mut twice = rs.kernel.clone();
+            twice.rotate_regime_contents(1 + (rot_seed / 7) % (n - 1));
+            assert_eq!(
+                canon_key(&rotations, &KernelState::new(twice)),
+                canon_key(&rotations, &s)
+            );
+        },
+    );
+}
+
+#[test]
+fn ample_never_drops_a_non_deferrable_input() {
+    check(16, walk, |(n, choices)| {
         // The ample selector may defer an input only when the partial-order
         // argument holds: the input has a footprint (it is not the null
         // input), that footprint is disjoint from the step's (they
@@ -173,38 +218,69 @@ proptest! {
         // must be kept, with its original alphabet index.
         let (sys, inputs, s) = walk_symmetric(n, &choices);
         let keep = sys.ample_of(&s, &inputs).indices(inputs.len());
-        prop_assert!(!keep.is_empty(), "ample set must never be empty");
-        prop_assert!(keep.windows(2).all(|w| w[0] < w[1]), "indices not ascending: {:?}", keep);
-        prop_assert!(keep.iter().all(|&i| i < inputs.len()), "index out of range: {:?}", keep);
+        assert!(!keep.is_empty(), "ample set must never be empty");
+        assert!(
+            keep.windows(2).all(|w| w[0] < w[1]),
+            "indices not ascending: {:?}",
+            keep
+        );
+        assert!(
+            keep.iter().all(|&i| i < inputs.len()),
+            "index out of range: {:?}",
+            keep
+        );
         let step = sys.step_footprint(&s);
         for (i, input) in inputs.iter().enumerate() {
             if keep.contains(&i) {
                 continue;
             }
             let fp = sys.input_footprint(input);
-            prop_assert!(
-                fp.regimes != 0,
-                "dropped the null input (index {})", i
-            );
-            prop_assert!(
+            assert!(fp.regimes != 0, "dropped the null input (index {})", i);
+            assert!(
                 !fp.overlaps(&step),
-                "dropped input {} whose footprint overlaps the step's", i
+                "dropped input {} whose footprint overlaps the step's",
+                i
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn sampled_checker_finds_op_leaks(seed in any::<u64>()) {
-        // The write-leak is on every path, so any reasonable walk finds it.
-        let leaky = DemoMachine::leaky(4, Leak::OpWritesForeign);
-        let report = SampledChecker::new(seed, 16, 64).check(
-            &leaky,
-            &leaky.abstractions(),
-            &[leaky.initial()],
-            &leaky.inputs(),
-        );
-        prop_assert!(!report.is_separable());
-    }
+#[test]
+fn sampled_checker_finds_op_leaks() {
+    check(
+        16,
+        |g| g.int::<u64>(..),
+        |seed| {
+            // The write-leak is on every path, so any reasonable walk finds it.
+            let leaky = DemoMachine::leaky(4, Leak::OpWritesForeign);
+            let report = SampledChecker::new(seed, 16, 64).check(
+                &leaky,
+                &leaky.abstractions(),
+                &[leaky.initial()],
+                &leaky.inputs(),
+            );
+            assert!(!report.is_separable());
+        },
+    );
+}
+
+/// On object systems with and without cross-colour sharing, the sharded
+/// checker's report equals the reference checker's at every shard count.
+#[test]
+fn parallel_report_equals_sequential() {
+    check(
+        16,
+        |g| sizes(g, 0..3),
+        |(own, shared)| {
+            let (sys, _) = build_system(own, shared);
+            let abstractions = sys.object_abstractions();
+            let seq = SeparabilityChecker::new().check(&sys, &abstractions);
+            for shards in [1usize, 2, 3, 4] {
+                let par = ParallelSeparabilityChecker::new(shards).check(&sys, &abstractions);
+                assert_eq!(seq, par, "own {own} shared {shared} shards {shards}");
+            }
+        },
+    );
 }
 
 #[test]

@@ -1,103 +1,70 @@
-//! Gated behind the `ext-tests` feature: this suite needs the `proptest`
-//! crate, which the offline tier-1 environment cannot download. Restore the
-//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
-#![cfg(feature = "ext-tests")]
-
 //! Property tests: every lattice implementation satisfies the lattice laws.
 
-use proptest::prelude::*;
+use sep_model::prop::{check, Gen};
 use sep_policy::lattice::{Lattice, Subset64, TwoPoint};
 use sep_policy::level::{CategorySet, Classification, SecurityLevel};
 
-fn arb_level() -> impl Strategy<Value = SecurityLevel> {
-    (0u8..4, any::<u64>()).prop_map(|(rank, cats)| {
-        SecurityLevel::new(Classification::from_rank(rank).unwrap(), CategorySet(cats))
-    })
-}
-
-fn arb_subset() -> impl Strategy<Value = Subset64> {
-    any::<u64>().prop_map(Subset64)
-}
-
-fn arb_two_point() -> impl Strategy<Value = TwoPoint> {
-    prop_oneof![Just(TwoPoint::Low), Just(TwoPoint::High)]
-}
-
-macro_rules! lattice_laws {
-    ($modname:ident, $strat:expr) => {
-        mod $modname {
-            use super::*;
-
-            proptest! {
-                #[test]
-                fn le_reflexive(a in $strat) {
-                    prop_assert!(Lattice::le(&a, &a));
-                }
-
-                #[test]
-                fn le_antisymmetric(a in $strat, b in $strat) {
-                    if Lattice::le(&a, &b) && Lattice::le(&b, &a) {
-                        prop_assert_eq!(a, b);
-                    }
-                }
-
-                #[test]
-                fn le_transitive(a in $strat, b in $strat, c in $strat) {
-                    if Lattice::le(&a, &b) && Lattice::le(&b, &c) {
-                        prop_assert!(Lattice::le(&a, &c));
-                    }
-                }
-
-                #[test]
-                fn lub_is_least_upper_bound(a in $strat, b in $strat, c in $strat) {
-                    let j = a.lub(&b);
-                    prop_assert!(Lattice::le(&a, &j));
-                    prop_assert!(Lattice::le(&b, &j));
-                    if Lattice::le(&a, &c) && Lattice::le(&b, &c) {
-                        prop_assert!(Lattice::le(&j, &c));
-                    }
-                }
-
-                #[test]
-                fn glb_is_greatest_lower_bound(a in $strat, b in $strat, c in $strat) {
-                    let m = a.glb(&b);
-                    prop_assert!(Lattice::le(&m, &a));
-                    prop_assert!(Lattice::le(&m, &b));
-                    if Lattice::le(&c, &a) && Lattice::le(&c, &b) {
-                        prop_assert!(Lattice::le(&c, &m));
-                    }
-                }
-
-                #[test]
-                fn lub_commutative_idempotent(a in $strat, b in $strat) {
-                    prop_assert_eq!(a.lub(&b), b.lub(&a));
-                    prop_assert_eq!(a.lub(&a), a);
-                    prop_assert_eq!(a.glb(&b), b.glb(&a));
-                    prop_assert_eq!(a.glb(&a), a);
-                }
-
-                #[test]
-                fn lub_associative(a in $strat, b in $strat, c in $strat) {
-                    prop_assert_eq!(a.lub(&b).lub(&c), a.lub(&b.lub(&c)));
-                    prop_assert_eq!(a.glb(&b).glb(&c), a.glb(&b.glb(&c)));
-                }
-
-                #[test]
-                fn bounds(a in $strat) {
-                    prop_assert!(Lattice::le(&Lattice::bottom(), &a));
-                    prop_assert!(Lattice::le(&a, &Lattice::top()));
-                }
-
-                #[test]
-                fn absorption(a in $strat, b in $strat) {
-                    prop_assert_eq!(a.lub(&a.glb(&b)), a);
-                    prop_assert_eq!(a.glb(&a.lub(&b)), a);
-                }
+/// Checks every lattice law on 256 drawn triples `(a, b, c)`.
+fn lattice_laws<L: Lattice>(arb: fn(&mut Gen) -> L) {
+    check(
+        256,
+        |g| (arb(g), arb(g), arb(g)),
+        |(a, b, c)| {
+            // `le` is a partial order.
+            assert!(a.le(&a));
+            if a.le(&b) && b.le(&a) {
+                assert_eq!(a, b);
             }
-        }
-    };
+            if a.le(&b) && b.le(&c) {
+                assert!(a.le(&c));
+            }
+            // `lub` is the least upper bound, `glb` the greatest lower bound.
+            let j = a.lub(&b);
+            assert!(a.le(&j) && b.le(&j));
+            if a.le(&c) && b.le(&c) {
+                assert!(j.le(&c));
+            }
+            let m = a.glb(&b);
+            assert!(m.le(&a) && m.le(&b));
+            if c.le(&a) && c.le(&b) {
+                assert!(c.le(&m));
+            }
+            // Commutative, idempotent, associative.
+            assert_eq!(a.lub(&b), b.lub(&a));
+            assert_eq!(a.lub(&a), a);
+            assert_eq!(a.glb(&b), b.glb(&a));
+            assert_eq!(a.glb(&a), a);
+            assert_eq!(a.lub(&b).lub(&c), a.lub(&b.lub(&c)));
+            assert_eq!(a.glb(&b).glb(&c), a.glb(&b.glb(&c)));
+            // Bounded.
+            assert!(L::bottom().le(&a) && a.le(&L::top()));
+            // Absorption.
+            assert_eq!(a.lub(&a.glb(&b)), a);
+            assert_eq!(a.glb(&a.lub(&b)), a);
+        },
+    );
 }
 
-lattice_laws!(security_level, arb_level());
-lattice_laws!(subset64, arb_subset());
-lattice_laws!(two_point, arb_two_point());
+#[test]
+fn security_level_laws() {
+    lattice_laws(|g| {
+        let rank = Classification::from_rank(g.int(0u8..4)).unwrap();
+        SecurityLevel::new(rank, CategorySet(g.int(..)))
+    });
+}
+
+#[test]
+fn subset64_laws() {
+    lattice_laws(|g| Subset64(g.int(..)));
+}
+
+#[test]
+fn two_point_laws() {
+    lattice_laws(|g| {
+        if g.bool() {
+            TwoPoint::High
+        } else {
+            TwoPoint::Low
+        }
+    });
+}

@@ -4,6 +4,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> no feature-gated trees (every suite and bench must build offline, ungated)"
+# Refuses manifest feature tables, feature-gated targets, feature-gated test
+# or bench code, and regression files saved by an external property crate.
+dirs=$(find . -name target -prune -o -type d \( -name tests -o -name benches \) -print)
+manifests=$(find . -name target -prune -o -name Cargo.toml -print)
+dead=$({
+  grep -l '^\[features\]' $manifests
+  grep -l 'required-feature[s]' $manifests
+  grep -rl --include='*.rs' 'cfg(feature' $dirs
+  find . -name target -prune -o -name '*-regressions' -print
+} || true)
+if [ -n "$dead" ]; then
+  echo "feature-gated or offline-dead trees found in:" >&2
+  echo "$dead" >&2
+  exit 1
+fi
+
 echo "==> build (release)"
 cargo build --release --workspace
 
