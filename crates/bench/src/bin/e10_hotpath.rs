@@ -9,15 +9,17 @@
 //! tier — and asserts two floors on the straight-line user-mode workload:
 //! the decode path at ≥2× the slow path (the PR 5 floor) and the warm
 //! superblock tier at ≥3× the decode path. The checker section reports
-//! the sharded checker's states/sec and its 16-byte-per-state seen-set,
-//! with the report asserted equal to the reference checker's.
+//! the sharded checker's states/sec, its 16-byte-per-state seen-set and
+//! the number of distinct RAM buffers among its explored states (RAM is
+//! copy-on-write; the register workload must keep exactly one), with the
+//! report asserted equal to the reference checker's.
 //! `BENCH_obs_e10_hotpath.json` keeps the deterministic sections
 //! (instruction counts, cache counters, checker reports) apart from
 //! wall-clock timing.
 
 use sep_bench::{checker_run_json, header, memory_workload, register_workload, row, timed};
 use sep_kernel::kernel::SeparationKernel;
-use sep_kernel::verify::{CheckerSelect, KernelSystem};
+use sep_kernel::verify::{distinct_ram_buffers, CheckerSelect, KernelSystem};
 use sep_machine::asm::assemble;
 use sep_machine::mmu::{Access, SegmentDescriptor};
 use sep_machine::psw::Mode;
@@ -247,7 +249,14 @@ fn main() {
     // Checker: the sharded checker's fingerprint seen-set at 4 shards.
     // -------------------------------------------------------------------
     println!("\n## checker: {SHARDS}-shard runs, fingerprint seen-sets\n");
-    header(&["workload", "states", "ms", "st/s", "fp bytes"]);
+    header(&[
+        "workload",
+        "states",
+        "ms",
+        "st/s",
+        "fp bytes",
+        "RAM buffers",
+    ]);
     for name in ["registers_4", "memory_3"] {
         let sys = KernelSystem::new(match name {
             "registers_4" => register_workload(4),
@@ -263,17 +272,24 @@ fn main() {
         );
         let stats = stats.expect("sharded runs report stats");
         assert_eq!(stats.fp_bytes, 16 * rep.states as u64);
+        // RAM is copy-on-write: register regimes never store, so every
+        // explored state must still share the initial state's buffer.
+        let ram_buffers = distinct_ram_buffers(&sys.explore_sharded(SHARDS).0);
+        if name == "registers_4" {
+            assert_eq!(ram_buffers, 1, "{name}: explored states copied RAM");
+        }
         row(&[
             name.into(),
             rep.states.to_string(),
             format!("{ms:.0}"),
             format!("{:.0}", rep.states as f64 / (ms / 1000.0)),
             stats.fp_bytes.to_string(),
+            ram_buffers.to_string(),
         ]);
         report = report
             .run_custom(
                 &format!("checker_{name}"),
-                checker_run_json(&rep, Some(&stats)),
+                checker_run_json(&rep, Some(&stats)).field("ram_buffers", ram_buffers),
             )
             .wall(
                 &format!("checker_{name}_fp_states_per_sec"),

@@ -1500,9 +1500,10 @@ impl SeparationKernel {
                 v.push(*slot as u64);
                 v.push(req.vector as u64);
             }
-            // Two independent fingerprints of the partition make an
-            // accidental collision vanishingly unlikely; the second is
-            // derived from the first so the partition is hashed once.
+            // The partition's contents enter as one 64-bit fingerprint.
+            // The second word is derived from it (salted with the regime
+            // name), not an independent hash, so partition contents get
+            // 64 bits of collision resistance.
             let fp = self
                 .machine
                 .mem
@@ -1527,18 +1528,31 @@ impl SeparationKernel {
         v
     }
 
+    /// The content fingerprint of every regime's partition, in slot order:
+    /// the `partition_fps` argument of [`Self::symmetry_vector`].
+    pub fn partition_fingerprints(&self) -> Vec<u64> {
+        self.regimes
+            .iter()
+            .map(|rec| {
+                self.machine
+                    .mem
+                    .fingerprint(rec.partition_base, PARTITION_SIZE)
+            })
+            .collect()
+    }
+
     /// The state vector this kernel would have after
     /// [`Self::rotate_regime_contents`]`(k)`, with every slot-identity
     /// component (the regime *name* salt of [`Self::state_vector`])
     /// removed — the keying the symmetry reduction minimizes over.
     ///
-    /// Name-freedom matters twice: identically-imaged regimes differ only
-    /// by name, so a name salt would make every orbit trivial; and each
-    /// partition is hashed exactly once via `Memory::fingerprint` (the
-    /// single-hash-per-partition path of the state vector), so
-    /// canonicalization costs one extra hash of the small control vector
-    /// per rotation, not a re-hash of memory.
-    pub fn symmetry_vector(&self, k: usize) -> Vec<u64> {
+    /// `partition_fps` is [`Self::partition_fingerprints`]. Taking it as an
+    /// argument lets a caller that keys every rotation hash each partition
+    /// exactly once, so canonicalization costs one extra hash of the small
+    /// control vector per rotation, not a re-hash of memory. Name-freedom
+    /// matters because identically-imaged regimes differ only by name: a
+    /// name salt would make every orbit trivial.
+    pub fn symmetry_vector(&self, k: usize, partition_fps: &[u64]) -> Vec<u64> {
         let n = self.regimes.len();
         let k = if n == 0 { 0 } else { k % n };
         let mut v = Vec::new();
@@ -1556,7 +1570,8 @@ impl SeparationKernel {
         v.push(self.machine.cpu.psw.0 as u64);
         for j in 0..n {
             // The record whose movable contents occupy slot j post-rotation.
-            let rec = &self.regimes[(j + n - k) % n];
+            let src = (j + n - k) % n;
+            let rec = &self.regimes[src];
             v.push(match rec.status {
                 RegimeStatus::Ready => 0,
                 RegimeStatus::Waiting => 1,
@@ -1581,11 +1596,7 @@ impl SeparationKernel {
                 v.push(*slot as u64);
                 v.push((req.vector - rec.devices[*slot].vector) as u64);
             }
-            v.push(
-                self.machine
-                    .mem
-                    .fingerprint(rec.partition_base, PARTITION_SIZE),
-            );
+            v.push(partition_fps[src]);
             if let Some(nat) = &rec.native {
                 v.push(fnv(&nat.state_bytes()));
             }

@@ -28,6 +28,7 @@ use sep_machine::asm::assemble;
 use sep_machine::dev::InterruptRequest;
 use sep_machine::psw::{Mode, Psw};
 use sep_machine::types::Word;
+use sep_machine::Memory;
 use sep_model::abstraction::Abstraction;
 use sep_model::canon::{Ample, Reduction};
 use sep_model::check::{CheckReport, SeparabilityChecker};
@@ -485,12 +486,29 @@ fn program_asks_identity(src: &str) -> bool {
 /// kernel's rotation-invariant [`SeparationKernel::symmetry_vector`].
 /// States equal up to a valid rotation share this key, so the sharded
 /// explorer's seen-sets collapse each orbit to its first-discovered member.
+/// Each partition is hashed once per key, whatever the rotation count.
 pub fn canon_key(rotations: &[usize], s: &KernelState) -> u128 {
-    let mut best = fingerprint(&s.kernel.symmetry_vector(0));
+    let fps = s.kernel.partition_fingerprints();
+    let mut best = fingerprint(&s.kernel.symmetry_vector(0, &fps));
     for &k in rotations {
-        best = best.min(fingerprint(&s.kernel.symmetry_vector(k)));
+        best = best.min(fingerprint(&s.kernel.symmetry_vector(k, &fps)));
     }
     best
+}
+
+/// The number of distinct RAM buffers among `states`. Machine RAM is
+/// copy-on-write, so this is 1 when no explored transition stored to
+/// memory: every state still shares the initial state's buffer. The
+/// evidence that shared RAM engaged.
+pub fn distinct_ram_buffers(states: &[KernelState]) -> usize {
+    let mut buffers: Vec<&Memory> = Vec::new();
+    for s in states {
+        let mem = &s.kernel.machine.mem;
+        if !buffers.iter().any(|b| b.shares_storage_with(mem)) {
+            buffers.push(mem);
+        }
+    }
+    buffers.len()
 }
 
 impl SharedSystem for KernelSystem {
@@ -813,10 +831,11 @@ impl RegimeAbstraction {
         let mut psw = Psw::user();
         psw.set_cc_bits(a.context.cc);
         k.machine.cpu.psw = psw;
-        // Partition contents.
+        // Partition contents, written (and so copied out of the template's
+        // shared RAM) only when they differ from the template's.
         let base = k.regimes[0].partition_base;
-        for (i, b) in a.partition.iter().enumerate() {
-            k.machine.mem.write_byte(base + i as u32, *b);
+        if k.machine.mem.range(base, PARTITION_SIZE) != &a.partition[..] {
+            k.machine.mem.write_range(base, &a.partition);
         }
         // Devices.
         let bindings = k.regimes[0].devices.clone();

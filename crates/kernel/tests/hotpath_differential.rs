@@ -13,13 +13,16 @@
 //!    seen-sets give the same Proof of Separability report as the
 //!    reference checker's exact full-state dedup — across shard counts,
 //!    the classic kernel mutants, and the fault-op state space.
+//! 4. **Shared RAM**: explored states share machine RAM copy-on-write —
+//!    a register-only state space keeps the initial state's one buffer —
+//!    and the reports stay equal to the reference's.
 
 use sep_fault::FaultPlan;
 use sep_kernel::config::{KernelConfig, Mutation, RegimeSpec};
 use sep_kernel::fault;
 use sep_kernel::kernel::{KernelEvent, SeparationKernel};
 use sep_kernel::regime::{FaultPolicy, PARTITION_SIZE};
-use sep_kernel::verify::{CheckerSelect, KernelSystem};
+use sep_kernel::verify::{distinct_ram_buffers, CheckerSelect, KernelSystem};
 use sep_obs::RunReport;
 
 const COUNTER: &str = "
@@ -226,5 +229,50 @@ fn sharded_fingerprint_stats_report_the_compact_seen_set() {
         stats.fp_bytes,
         16 * stats.states as u64,
         "16 bytes per resident key"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Shared RAM: explored states copy machine RAM only when a step stores.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn register_only_states_all_share_the_initial_ram() {
+    let cfg = KernelConfig::new(vec![
+        RegimeSpec::assembly("red", YIELDER),
+        RegimeSpec::assembly("black", YIELDER),
+    ]);
+    let sys = KernelSystem::new(cfg).unwrap();
+    let (states, _) = sys.explore_sharded(2);
+    assert!(states.len() > 1);
+    for s in &states {
+        assert!(
+            s.kernel
+                .machine
+                .mem
+                .shares_storage_with(&sys.template.machine.mem),
+            "{s:?} copied RAM without storing"
+        );
+    }
+    assert_eq!(distinct_ram_buffers(&states), 1);
+    let reference = sys.check_with(&CheckerSelect::Sequential);
+    assert_eq!(
+        sys.check_with(&CheckerSelect::Sharded { shards: 2 }),
+        reference
+    );
+}
+
+#[test]
+fn memory_writing_states_copy_their_ram() {
+    let sys = KernelSystem::new(workload()).unwrap();
+    let (states, _) = sys.explore_sharded(2);
+    assert!(
+        distinct_ram_buffers(&states) >= 2,
+        "the counter store must copy RAM out of the shared buffer"
+    );
+    let reference = sys.check_with(&CheckerSelect::Sequential);
+    assert_eq!(
+        sys.check_with(&CheckerSelect::Sharded { shards: 2 }),
+        reference
     );
 }

@@ -124,7 +124,8 @@ pub struct Machine {
 /// Cloning resets the fast-path caches: they memoize pure functions, so an
 /// empty cache is always a valid (and cheap) starting point, and a cloned
 /// machine — a verify-template snapshot or a `FaultPolicy::Restart`
-/// re-image source — must behave byte-identically to a fresh boot.
+/// re-image source — must behave byte-identically to a fresh boot. RAM is
+/// shared copy-on-write with the original until either side stores.
 impl Clone for Machine {
     fn clone(&self) -> Machine {
         Machine {
