@@ -26,6 +26,7 @@ use crate::kernel::{KernelError, SeparationKernel};
 use crate::regime::{RegimeStatus, SaveArea, PARTITION_SIZE};
 use sep_machine::asm::assemble;
 use sep_machine::dev::InterruptRequest;
+use sep_machine::isa::{decode, Instr};
 use sep_machine::psw::{Mode, Psw};
 use sep_machine::types::Word;
 use sep_machine::Memory;
@@ -467,16 +468,16 @@ fn rotation_equal(a: &RegimeSpec, b: &RegimeSpec) -> bool {
         && a.watchdog == b.watchdog
 }
 
-/// The assembled `TRAP 4` instruction: the MYID syscall.
-const TRAP_MYID: Word = 0o104404;
-
-/// Whether a program may ask MYID, decided on the assembled words so that
-/// mnemonic case and label operands cannot hide a `TRAP 4`: any
-/// `0o104404` word disqualifies the program from symmetry, data included,
-/// and so does source that fails to assemble.
+/// Whether a program may ask MYID (`TRAP 4`), decided on the assembled
+/// words so that mnemonic case and label operands cannot hide it: any word
+/// that decodes as `TRAP 4` disqualifies the program from symmetry, data
+/// included, and so does source that fails to assemble.
 fn program_asks_identity(src: &str) -> bool {
     match assemble(src) {
-        Ok(program) => program.words.contains(&TRAP_MYID),
+        Ok(program) => program
+            .words
+            .iter()
+            .any(|&w| decode(w) == Some(Instr::Trap(4))),
         Err(_) => true,
     }
 }

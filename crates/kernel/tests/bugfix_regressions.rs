@@ -16,11 +16,14 @@
 //! * the symmetry reduction's MYID guard used to scan the source for an
 //!   upper-case `TRAP` mentioning a `4`, so a lower-case `trap 4` (the
 //!   assembler upper-cases mnemonics) or a `TRAP label` resolving to 4 let
-//!   a program that asks its slot identity be rotated.
+//!   a program that asks its slot identity be rotated;
+//! * the assembler used to panic when the location counter ran past the
+//!   top of the address space, so booting such a program crashed instead of
+//!   returning `KernelError::Assembly`.
 
 use sep_kernel::channel::ChannelStatus;
 use sep_kernel::config::{ChannelSpec, DeviceSpec, KernelConfig, RegimeSpec};
-use sep_kernel::kernel::{KernelEvent, SeparationKernel};
+use sep_kernel::kernel::{KernelError, KernelEvent, SeparationKernel};
 use sep_kernel::regime::{NativeAction, NativeRegime, RegimeIo};
 use sep_kernel::verify::{canon_key, KernelState, KernelSystem};
 use sep_model::system::{Finite, SharedSystem};
@@ -310,4 +313,22 @@ fn myid_guard_sees_every_spelling_of_trap_4() {
     // The guard does not over-reject: the same shape without MYID rotates.
     let yielder = "start:  trap 0\n        mov r0, r2\n        br start";
     assert_eq!(identical_pair(yielder).valid_rotations(), vec![1]);
+}
+
+/// A program whose location counter runs past the top of the address space
+/// is an assembly error at boot, not a panic.
+#[test]
+fn boot_rejects_a_program_past_the_address_space() {
+    let cfg = KernelConfig::new(vec![RegimeSpec::assembly(
+        "a",
+        ".org 0o177776\n        NOP\n        NOP",
+    )]);
+    match SeparationKernel::boot(cfg) {
+        Err(KernelError::Assembly { regime, error }) => {
+            assert_eq!(regime, "a");
+            assert_eq!(error.line, 3);
+        }
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("booted a program past the address space"),
+    }
 }

@@ -21,7 +21,15 @@
 //! (character) literals. Registers are `R0`–`R7`, `SP` (= R6), `PC` (= R7).
 //! Bare symbols as operands use PC-relative addressing; `#sym` is immediate
 //! and `@#sym` absolute.
+//!
+//! The encoding is owned by [`crate::isa`]: each mnemonic's base word and
+//! operand fields come from [`OPCODES`](crate::isa::OPCODES), which also
+//! fixes its operand count, and [`Operand::has_extension_word`] decides
+//! which operands take an extension word. This module only parses source
+//! and lays out words; the machine's exhaustive round-trip test pins it to
+//! the disassembler over every instruction word.
 
+use crate::isa::{Field, Opcode, Operand};
 use crate::types::Word;
 use std::collections::HashMap;
 
@@ -70,8 +78,13 @@ impl Program {
 /// # Examples
 ///
 /// ```
+/// use sep_machine::isa::{decode, Instr};
+///
 /// let prog = sep_machine::assemble("MOV #5, R0\nHALT").unwrap();
-/// assert_eq!(prog.words, vec![0o012700, 5, 0o000000]);
+/// // The MOV, its immediate operand's extension word, then HALT.
+/// assert_eq!(prog.words.len(), 3);
+/// assert_eq!(prog.words[1], 5);
+/// assert_eq!(decode(prog.words[2]), Some(Instr::Halt));
 /// ```
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
     assemble_at(source, 0)
@@ -94,13 +107,14 @@ enum Expr {
     Here(i32),        // '.' + addend
 }
 
+/// One instruction operand, parsed as its [`Field`] directs.
 #[derive(Debug, Clone)]
 enum Arg {
-    Operand {
-        mode: u8,
-        reg: u8,
-        extra: Option<Expr>,
-    },
+    /// An operand or register, already in its bits, with the expression for
+    /// its extension word if it takes one.
+    Placed(Word, Option<Expr>),
+    /// A branch or `SOB` target or a trap number, resolved in pass 2.
+    Late(Field, Expr),
 }
 
 #[derive(Debug, Clone)]
@@ -112,7 +126,10 @@ struct Item {
 
 #[derive(Debug, Clone)]
 enum ItemKind {
-    Instr { mnemonic: String, args: Vec<Arg> },
+    Instr {
+        opcode: &'static Opcode,
+        args: Vec<Arg>,
+    },
     Word(Vec<Expr>),
     Byte(Vec<Expr>),
     Ascii(Vec<u8>),
@@ -122,14 +139,37 @@ struct Assembler {
     origin: Word,
     items: Vec<Item>,
     symbols: HashMap<String, Word>,
-    end: Word,
+    /// One past the last byte: at most the top of the address space.
+    end: u32,
 }
+
+/// The end of the 16-bit address space: the location counter may reach it
+/// but nothing may be placed there.
+const ADDR_LIMIT: u32 = 1 << 16;
 
 fn err(line: usize, message: impl Into<String>) -> AsmError {
     AsmError {
         line,
         message: message.into(),
     }
+}
+
+fn past_end(line: usize) -> AsmError {
+    err(line, "location counter past the end of the address space")
+}
+
+/// The address of the location counter, for placing a label or an item.
+fn here(loc: u32, line: usize) -> Result<Word, AsmError> {
+    Word::try_from(loc).map_err(|_| past_end(line))
+}
+
+/// The location counter after `bytes` more bytes.
+fn advance(loc: u32, bytes: usize, line: usize) -> Result<u32, AsmError> {
+    let next = loc as usize + bytes;
+    if next > ADDR_LIMIT as usize {
+        return Err(past_end(line));
+    }
+    Ok(next as u32)
 }
 
 fn parse_reg(tok: &str) -> Option<u8> {
@@ -216,116 +256,71 @@ fn parse_expr(tok: &str, line: usize) -> Result<Expr, AsmError> {
     Err(err(line, format!("cannot parse expression: {tok}")))
 }
 
-/// Parses one operand into addressing mode, register, and optional extra
-/// word.
-fn parse_operand(tok: &str, line: usize) -> Result<Arg, AsmError> {
+/// Parses one addressing-mode operand, with the expression for its
+/// extension word. A deferred form (`@…`) is its plain form's mode + 1.
+fn parse_operand(tok: &str, line: usize) -> Result<(Operand, Option<Expr>), AsmError> {
     let t = tok.trim();
-    if let Some(r) = parse_reg(t) {
-        return Ok(Arg::Operand {
-            mode: 0,
-            reg: r,
-            extra: None,
-        });
+    let (deferred, body): (u8, &str) = match t.strip_prefix('@') {
+        Some(rest) => (1, rest.trim()),
+        None => (0, t),
+    };
+    let at = |mode: u8, reg: u8| Operand {
+        mode: mode + deferred,
+        reg,
+    };
+    let reg = |s: &str| parse_reg(s).ok_or_else(|| err(line, format!("bad register: {s}")));
+    if let (0, Some(r)) = (deferred, parse_reg(body)) {
+        return Ok((at(0, r), None));
     }
-    // Deferred forms start with '@'.
-    if let Some(rest) = t.strip_prefix('@') {
-        let rest = rest.trim();
-        if let Some(imm) = rest.strip_prefix('#') {
-            // @#addr — absolute.
-            return Ok(Arg::Operand {
-                mode: 3,
-                reg: 7,
-                extra: Some(parse_expr(imm, line)?),
-            });
-        }
-        if let Some(inner) = rest.strip_prefix("-(").and_then(|s| s.strip_suffix(')')) {
-            let r = parse_reg(inner).ok_or_else(|| err(line, format!("bad register: {inner}")))?;
-            return Ok(Arg::Operand {
-                mode: 5,
-                reg: r,
-                extra: None,
-            });
-        }
-        if let Some(inner) = rest.strip_prefix('(').and_then(|s| s.strip_suffix(")+")) {
-            let r = parse_reg(inner).ok_or_else(|| err(line, format!("bad register: {inner}")))?;
-            return Ok(Arg::Operand {
-                mode: 3,
-                reg: r,
-                extra: None,
-            });
-        }
-        if let Some(open) = rest.find('(') {
-            // @X(Rn)
-            let idx = &rest[..open];
-            let reg_part = rest[open + 1..]
-                .strip_suffix(')')
-                .ok_or_else(|| err(line, format!("missing ')': {t}")))?;
-            let r = parse_reg(reg_part)
-                .ok_or_else(|| err(line, format!("bad register: {reg_part}")))?;
-            return Ok(Arg::Operand {
-                mode: 7,
-                reg: r,
-                extra: Some(parse_expr(idx, line)?),
-            });
-        }
-        // @addr — PC-relative deferred.
-        return Ok(Arg::Operand {
-            mode: 7,
-            reg: 7,
-            extra: Some(Expr::relative(parse_expr(rest, line)?)),
-        });
+    if let Some(imm) = body.strip_prefix('#') {
+        // #x immediate, @#x absolute.
+        return Ok((at(2, 7), Some(parse_expr(imm, line)?)));
     }
-    if let Some(imm) = t.strip_prefix('#') {
-        return Ok(Arg::Operand {
-            mode: 2,
-            reg: 7,
-            extra: Some(parse_expr(imm, line)?),
-        });
+    if let Some(inner) = body.strip_prefix("-(").and_then(|s| s.strip_suffix(')')) {
+        return Ok((at(4, reg(inner)?), None));
     }
-    if let Some(inner) = t.strip_prefix("-(").and_then(|s| s.strip_suffix(')')) {
-        let r = parse_reg(inner).ok_or_else(|| err(line, format!("bad register: {inner}")))?;
-        return Ok(Arg::Operand {
-            mode: 4,
-            reg: r,
-            extra: None,
-        });
+    if let Some(inner) = body.strip_prefix('(').and_then(|s| s.strip_suffix(")+")) {
+        return Ok((at(2, reg(inner)?), None));
     }
-    if let Some(inner) = t.strip_prefix('(').and_then(|s| s.strip_suffix(")+")) {
-        let r = parse_reg(inner).ok_or_else(|| err(line, format!("bad register: {inner}")))?;
-        return Ok(Arg::Operand {
-            mode: 2,
-            reg: r,
-            extra: None,
-        });
+    if let (0, Some(inner)) = (
+        deferred,
+        body.strip_prefix('(').and_then(|s| s.strip_suffix(')')),
+    ) {
+        return Ok((at(1, reg(inner)?), None));
     }
-    if let Some(inner) = t.strip_prefix('(').and_then(|s| s.strip_suffix(')')) {
-        let r = parse_reg(inner).ok_or_else(|| err(line, format!("bad register: {inner}")))?;
-        return Ok(Arg::Operand {
-            mode: 1,
-            reg: r,
-            extra: None,
-        });
-    }
-    if let Some(open) = t.find('(') {
+    if let Some(open) = body.find('(') {
         // X(Rn)
-        let idx = &t[..open];
-        let reg_part = t[open + 1..]
+        let reg_part = body[open + 1..]
             .strip_suffix(')')
             .ok_or_else(|| err(line, format!("missing ')': {t}")))?;
-        let r =
-            parse_reg(reg_part).ok_or_else(|| err(line, format!("bad register: {reg_part}")))?;
-        return Ok(Arg::Operand {
-            mode: 6,
-            reg: r,
-            extra: Some(parse_expr(idx, line)?),
-        });
+        let r = reg(reg_part)?;
+        return Ok((at(6, r), Some(parse_expr(&body[..open], line)?)));
     }
     // Bare expression: PC-relative.
-    Ok(Arg::Operand {
-        mode: 6,
-        reg: 7,
-        extra: Some(Expr::relative(parse_expr(t, line)?)),
-    })
+    Ok((at(6, 7), Some(Expr::relative(parse_expr(body, line)?))))
+}
+
+/// Parses one instruction operand into the field it fills.
+fn parse_arg(field: Field, text: &str, line: usize) -> Result<Arg, AsmError> {
+    match field {
+        Field::Operand(_) => {
+            let (op, extra) = parse_operand(text, line)?;
+            // Only `(PC)+` and `@(PC)+` spelled out can disagree: the word
+            // they read from the stream must be written as `#x` or `@#x`.
+            if op.has_extension_word() != extra.is_some() {
+                return Err(err(
+                    line,
+                    format!("{text}: write the operand's extension word as #x or @#x"),
+                ));
+            }
+            Ok(Arg::Placed(field.put(op.bits()), extra))
+        }
+        Field::Reg(_) => {
+            let r = parse_reg(text).ok_or_else(|| err(line, "expected a register"))?;
+            Ok(Arg::Placed(field.put(r as Word), None))
+        }
+        Field::Branch | Field::Sob | Field::Byte => Ok(Arg::Late(field, parse_expr(text, line)?)),
+    }
 }
 
 impl Expr {
@@ -376,9 +371,9 @@ impl Assembler {
             origin,
             items: Vec::new(),
             symbols: HashMap::new(),
-            end: origin,
+            end: origin as u32,
         };
-        let mut loc = origin;
+        let mut loc = origin as u32;
         for (lineno, raw) in source.lines().enumerate() {
             let line = lineno + 1;
             let mut text = raw;
@@ -392,7 +387,11 @@ impl Assembler {
                 if label.is_empty() || !label.chars().all(is_sym_char) {
                     return Err(err(line, format!("bad label: {label}")));
                 }
-                if asm.symbols.insert(label.to_string(), loc).is_some() {
+                if asm
+                    .symbols
+                    .insert(label.to_string(), here(loc, line)?)
+                    .is_some()
+                {
                     return Err(err(line, format!("duplicate label: {label}")));
                 }
                 text = text[i + 1..].trim();
@@ -405,12 +404,12 @@ impl Assembler {
                 None => (text, ""),
             };
             let mnemonic = head.to_ascii_uppercase();
-            match mnemonic.as_str() {
+            let (kind, bytes) = match mnemonic.as_str() {
                 ".ORG" => {
                     let e = parse_expr(rest, line)?;
                     match e {
                         Expr::Num(n) => {
-                            let n = n as Word;
+                            let n = n as Word as u32;
                             if n < loc {
                                 return Err(err(line, ".org moves backwards"));
                             }
@@ -418,21 +417,21 @@ impl Assembler {
                         }
                         _ => return Err(err(line, ".org requires a numeric operand")),
                     }
+                    continue;
                 }
                 ".EVEN" => {
                     loc = (loc + 1) & !1;
+                    continue;
                 }
                 ".BLKW" => {
                     let n = parse_number(rest).ok_or_else(|| err(line, "bad .blkw count"))?;
                     if !(0..=0o37777).contains(&n) {
                         return Err(err(line, format!(".blkw count out of range: {n}")));
                     }
-                    asm.items.push(Item {
-                        line,
-                        addr: loc,
-                        kind: ItemKind::Word(vec![Expr::Num(0); n as usize]),
-                    });
-                    loc += 2 * n as Word;
+                    (
+                        ItemKind::Word(vec![Expr::Num(0); n as usize]),
+                        2 * n as usize,
+                    )
                 }
                 ".WORD" => {
                     if loc & 1 != 0 {
@@ -442,26 +441,16 @@ impl Assembler {
                         .iter()
                         .map(|a| parse_expr(a, line))
                         .collect::<Result<Vec<_>, _>>()?;
-                    let n = exprs.len() as Word;
-                    asm.items.push(Item {
-                        line,
-                        addr: loc,
-                        kind: ItemKind::Word(exprs),
-                    });
-                    loc += 2 * n;
+                    let n = exprs.len();
+                    (ItemKind::Word(exprs), 2 * n)
                 }
                 ".BYTE" => {
                     let exprs = split_args(rest)
                         .iter()
                         .map(|a| parse_expr(a, line))
                         .collect::<Result<Vec<_>, _>>()?;
-                    let n = exprs.len() as Word;
-                    asm.items.push(Item {
-                        line,
-                        addr: loc,
-                        kind: ItemKind::Byte(exprs),
-                    });
-                    loc += n;
+                    let n = exprs.len();
+                    (ItemKind::Byte(exprs), n)
                 }
                 ".ASCII" | ".ASCIZ" => {
                     let s = rest.trim();
@@ -473,31 +462,45 @@ impl Assembler {
                     if mnemonic == ".ASCIZ" {
                         bytes.push(0);
                     }
-                    let n = bytes.len() as Word;
-                    asm.items.push(Item {
-                        line,
-                        addr: loc,
-                        kind: ItemKind::Ascii(bytes),
-                    });
-                    loc += n;
+                    let n = bytes.len();
+                    (ItemKind::Ascii(bytes), n)
                 }
                 _ => {
                     if loc & 1 != 0 {
                         return Err(err(line, "instruction at odd address"));
                     }
-                    let args = split_args(rest);
-                    let (size, parsed) = instr_size_and_args(&mnemonic, &args, line)?;
-                    asm.items.push(Item {
-                        line,
-                        addr: loc,
-                        kind: ItemKind::Instr {
-                            mnemonic,
-                            args: parsed,
-                        },
-                    });
-                    loc += size;
+                    let opcode = Opcode::named(&mnemonic)
+                        .ok_or_else(|| err(line, format!("unknown mnemonic: {mnemonic}")))?;
+                    let fields = opcode.shape.fields();
+                    let texts = split_args(rest);
+                    if texts.len() != fields.len() {
+                        return Err(err(
+                            line,
+                            format!(
+                                "{mnemonic} takes {} operand(s), found {}",
+                                fields.len(),
+                                texts.len()
+                            ),
+                        ));
+                    }
+                    let args = fields
+                        .iter()
+                        .zip(&texts)
+                        .map(|(&f, t)| parse_arg(f, t, line))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let extension_words = args
+                        .iter()
+                        .filter(|a| matches!(a, Arg::Placed(_, Some(_))))
+                        .count();
+                    (ItemKind::Instr { opcode, args }, 2 + 2 * extension_words)
                 }
-            }
+            };
+            asm.items.push(Item {
+                line,
+                addr: here(loc, line)?,
+                kind,
+            });
+            loc = advance(loc, bytes, line)?;
         }
         asm.end = loc;
         Ok(asm)
@@ -531,7 +534,7 @@ impl Assembler {
     }
 
     fn emit(self) -> Result<Program, AsmError> {
-        let len_words = ((self.end - self.origin) as usize).div_ceil(2);
+        let len_words = ((self.end - self.origin as u32) as usize).div_ceil(2);
         let mut words = vec![0u16; len_words];
         let mut bytes_written: HashMap<usize, u8> = HashMap::new();
         let put_word = |words: &mut Vec<Word>, addr: Word, w: Word| {
@@ -560,8 +563,8 @@ impl Assembler {
                         bytes_written.insert((a - self.origin) as usize, *b);
                     }
                 }
-                ItemKind::Instr { mnemonic, args } => {
-                    let ws = self.encode(mnemonic, args, item.addr, item.line)?;
+                ItemKind::Instr { opcode, args } => {
+                    let ws = self.encode(opcode, args, item.addr, item.line)?;
                     for (i, w) in ws.iter().enumerate() {
                         put_word(&mut words, item.addr + 2 * i as Word, *w);
                     }
@@ -588,311 +591,66 @@ impl Assembler {
         })
     }
 
+    /// The instruction's words: the base word with every field filled, then
+    /// the operands' extension words in operand order.
     fn encode(
         &self,
-        mnemonic: &str,
+        opcode: &Opcode,
         args: &[Arg],
         addr: Word,
         line: usize,
     ) -> Result<Vec<Word>, AsmError> {
-        let mut out = Vec::with_capacity(3);
-        let mut extras: Vec<(Expr, usize)> = Vec::new();
-
-        let operand_bits = |arg: &Arg, extras: &mut Vec<(Expr, usize)>| -> Result<Word, AsmError> {
+        let mut out = vec![opcode.base];
+        for arg in args {
             match arg {
-                Arg::Operand { mode, reg, extra } => {
+                Arg::Placed(bits, extra) => {
+                    out[0] |= bits;
                     if let Some(e) = extra {
-                        let n = extras.len();
-                        extras.push((e.clone(), n));
+                        let extra_addr = addr + 2 * out.len() as Word;
+                        out.push(self.resolve(e, extra_addr, line)?);
                     }
-                    Ok(((*mode as Word) << 3) | *reg as Word)
+                }
+                Arg::Late(field, e) => {
+                    let v = self.resolve(e, addr, line)? as i32;
+                    out[0] |= field.put(late_value(*field, v, addr, line)?);
                 }
             }
-        };
-
-        let double = |op: Word,
-                      out: &mut Vec<Word>,
-                      extras: &mut Vec<(Expr, usize)>,
-                      args: &[Arg]|
-         -> Result<(), AsmError> {
-            if args.len() != 2 {
-                return Err(err(line, "expected two operands"));
-            }
-            let ob = |a: &Arg, ex: &mut Vec<(Expr, usize)>| match a {
-                Arg::Operand { mode, reg, extra } => {
-                    if let Some(e) = extra {
-                        let n = ex.len();
-                        ex.push((e.clone(), n));
-                    }
-                    Ok(((*mode as Word) << 3) | *reg as Word)
-                }
-            };
-            let s = ob(&args[0], extras)?;
-            let d = ob(&args[1], extras)?;
-            out.push(op | (s << 6) | d);
-            Ok(())
-        };
-
-        match mnemonic {
-            "MOV" => double(0o010000, &mut out, &mut extras, args)?,
-            "MOVB" => double(0o110000, &mut out, &mut extras, args)?,
-            "CMP" => double(0o020000, &mut out, &mut extras, args)?,
-            "CMPB" => double(0o120000, &mut out, &mut extras, args)?,
-            "BIT" => double(0o030000, &mut out, &mut extras, args)?,
-            "BITB" => double(0o130000, &mut out, &mut extras, args)?,
-            "BIC" => double(0o040000, &mut out, &mut extras, args)?,
-            "BICB" => double(0o140000, &mut out, &mut extras, args)?,
-            "BIS" => double(0o050000, &mut out, &mut extras, args)?,
-            "BISB" => double(0o150000, &mut out, &mut extras, args)?,
-            "ADD" => double(0o060000, &mut out, &mut extras, args)?,
-            "SUB" => double(0o160000, &mut out, &mut extras, args)?,
-            "CLR" | "CLRB" | "COM" | "COMB" | "INC" | "INCB" | "DEC" | "DECB" | "NEG" | "NEGB"
-            | "ADC" | "ADCB" | "SBC" | "SBCB" | "TST" | "TSTB" | "ROR" | "RORB" | "ROL"
-            | "ROLB" | "ASR" | "ASRB" | "ASL" | "ASLB" | "SWAB" | "SXT" | "JMP" => {
-                if args.len() != 1 {
-                    return Err(err(line, "expected one operand"));
-                }
-                // SWAB's trailing B is part of the name, not a byte marker.
-                let stem = if mnemonic == "SWAB" {
-                    "SWAB"
-                } else {
-                    mnemonic.strip_suffix('B').unwrap_or(mnemonic)
-                };
-                let base: Word = match stem {
-                    "CLR" => 0o005000,
-                    "COM" => 0o005100,
-                    "INC" => 0o005200,
-                    "DEC" => 0o005300,
-                    "NEG" => 0o005400,
-                    "ADC" => 0o005500,
-                    "SBC" => 0o005600,
-                    "TST" => 0o005700,
-                    "ROR" => 0o006000,
-                    "ROL" => 0o006100,
-                    "ASR" => 0o006200,
-                    "ASL" => 0o006300,
-                    "SWAB" => 0o000300,
-                    "SXT" => 0o006700,
-                    "JMP" => 0o000100,
-                    _ => unreachable!(),
-                };
-                let byte_bit = if mnemonic.ends_with('B') && mnemonic != "SWAB" {
-                    0o100000
-                } else {
-                    0
-                };
-                let d = operand_bits(&args[0], &mut extras)?;
-                out.push(base | byte_bit | d);
-            }
-            "BR" | "BNE" | "BEQ" | "BGE" | "BLT" | "BGT" | "BLE" | "BPL" | "BMI" | "BHI"
-            | "BLOS" | "BVC" | "BVS" | "BCC" | "BCS" => {
-                if args.len() != 1 {
-                    return Err(err(line, "expected a branch target"));
-                }
-                let base: Word = match mnemonic {
-                    "BR" => 0o000400,
-                    "BNE" => 0o001000,
-                    "BEQ" => 0o001400,
-                    "BGE" => 0o002000,
-                    "BLT" => 0o002400,
-                    "BGT" => 0o003000,
-                    "BLE" => 0o003400,
-                    "BPL" => 0o100000,
-                    "BMI" => 0o100400,
-                    "BHI" => 0o101000,
-                    "BLOS" => 0o101400,
-                    "BVC" => 0o102000,
-                    "BVS" => 0o102400,
-                    "BCC" => 0o103000,
-                    "BCS" => 0o103400,
-                    _ => unreachable!(),
-                };
-                let target = self.branch_target(&args[0], line)?;
-                let target = self.resolve(&target, addr, line)?;
-                let diff = (target as i32) - (addr as i32 + 2);
-                if diff % 2 != 0 {
-                    return Err(err(line, "branch target at odd distance"));
-                }
-                let off = diff / 2;
-                if !(-128..=127).contains(&off) {
-                    return Err(err(line, format!("branch out of range: {off} words")));
-                }
-                out.push(base | (off as u8 as Word));
-            }
-            "JSR" => {
-                if args.len() != 2 {
-                    return Err(err(line, "JSR reg, dst"));
-                }
-                let r = self.expect_reg(&args[0], line)?;
-                let d = operand_bits(&args[1], &mut extras)?;
-                out.push(0o004000 | ((r as Word) << 6) | d);
-            }
-            "RTS" => {
-                let r = self.expect_reg(&args[0], line)?;
-                out.push(0o000200 | r as Word);
-            }
-            "SOB" => {
-                if args.len() != 2 {
-                    return Err(err(line, "SOB reg, target"));
-                }
-                let r = self.expect_reg(&args[0], line)?;
-                let target = self.branch_target(&args[1], line)?;
-                let target = self.resolve(&target, addr, line)?;
-                let diff = (addr as i32 + 2) - target as i32;
-                if diff % 2 != 0 || !(0..=126).contains(&diff) {
-                    return Err(err(line, "SOB target out of range"));
-                }
-                out.push(0o077000 | ((r as Word) << 6) | (diff / 2) as Word);
-            }
-            "MUL" | "DIV" | "ASH" => {
-                if args.len() != 2 {
-                    return Err(err(line, format!("{mnemonic} src, reg")));
-                }
-                let base = match mnemonic {
-                    "MUL" => 0o070000,
-                    "DIV" => 0o071000,
-                    _ => 0o072000,
-                };
-                let s = operand_bits(&args[0], &mut extras)?;
-                let r = self.expect_reg(&args[1], line)?;
-                out.push(base | ((r as Word) << 6) | s);
-            }
-            "XOR" => {
-                if args.len() != 2 {
-                    return Err(err(line, "XOR reg, dst"));
-                }
-                let r = self.expect_reg(&args[0], line)?;
-                let d = operand_bits(&args[1], &mut extras)?;
-                out.push(0o074000 | ((r as Word) << 6) | d);
-            }
-            "EMT" | "TRAP" => {
-                let n = if args.is_empty() {
-                    0
-                } else {
-                    let e = self.branch_target(&args[0], line)?;
-                    self.resolve(&e, addr, line)? as i32
-                };
-                if !(0..=255).contains(&n) {
-                    return Err(err(line, "trap number out of range"));
-                }
-                let base = if mnemonic == "EMT" {
-                    0o104000
-                } else {
-                    0o104400
-                };
-                out.push(base | n as Word);
-            }
-            "HALT" => out.push(0o000000),
-            "WAIT" => out.push(0o000001),
-            "RTI" => out.push(0o000002),
-            "BPT" => out.push(0o000003),
-            "IOT" => out.push(0o000004),
-            "RESET" => out.push(0o000005),
-            "RTT" => out.push(0o000006),
-            "NOP" => out.push(0o000240),
-            "CLC" => out.push(0o000241),
-            "CLV" => out.push(0o000242),
-            "CLZ" => out.push(0o000244),
-            "CLN" => out.push(0o000250),
-            "CCC" => out.push(0o000257),
-            "SEC" => out.push(0o000261),
-            "SEV" => out.push(0o000262),
-            "SEZ" => out.push(0o000264),
-            "SEN" => out.push(0o000270),
-            "SCC" => out.push(0o000277),
-            _ => return Err(err(line, format!("unknown mnemonic: {mnemonic}"))),
-        }
-
-        // Append operand extension words in operand order.
-        for (i, (e, _)) in extras.iter().enumerate() {
-            let extra_addr = addr + 2 + 2 * i as Word;
-            let v = self.resolve(e, extra_addr, line)?;
-            out.push(v);
         }
         Ok(out)
     }
-
-    fn expect_reg(&self, a: &Arg, line: usize) -> Result<u8, AsmError> {
-        match a {
-            Arg::Operand { mode: 0, reg, .. } => Ok(*reg),
-            _ => Err(err(line, "expected a register")),
-        }
-    }
-
-    /// Branch targets are bare expressions; unwrap the PC-relative tagging
-    /// that `parse_operand` applied (branches encode their own offset).
-    fn branch_target(&self, a: &Arg, line: usize) -> Result<Expr, AsmError> {
-        match a {
-            Arg::Operand {
-                mode: 6,
-                reg: 7,
-                extra: Some(Expr::Sym(s, add)),
-            } => {
-                if let Some(rest) = s.strip_prefix("\u{1}rel\u{1}") {
-                    Ok(Expr::Sym(rest.to_string(), *add))
-                } else if s == "\u{1}relnum\u{1}" {
-                    Ok(Expr::Num(*add))
-                } else {
-                    Ok(Expr::Sym(s.clone(), *add))
-                }
-            }
-            Arg::Operand {
-                mode: 6,
-                reg: 7,
-                extra: Some(e),
-            } => Ok(e.clone()),
-            _ => Err(err(line, "expected a branch target label")),
-        }
-    }
 }
 
-/// Computes an instruction's size in bytes and returns the parsed operands.
-fn instr_size_and_args(
-    mnemonic: &str,
-    args: &[String],
-    line: usize,
-) -> Result<(Word, Vec<Arg>), AsmError> {
-    let parsed: Vec<Arg> = args
-        .iter()
-        .map(|a| parse_operand(a, line))
-        .collect::<Result<Vec<_>, _>>()?;
-    // Branches and SOB encode their target in the base word; traps take a
-    // literal; everything else grows by one word per operand needing an
-    // extension.
-    let branchlike = matches!(
-        mnemonic,
-        "BR" | "BNE"
-            | "BEQ"
-            | "BGE"
-            | "BLT"
-            | "BGT"
-            | "BLE"
-            | "BPL"
-            | "BMI"
-            | "BHI"
-            | "BLOS"
-            | "BVC"
-            | "BVS"
-            | "BCC"
-            | "BCS"
-            | "SOB"
-            | "EMT"
-            | "TRAP"
-            | "RTS"
-    );
-    let size = if branchlike {
-        2
-    } else {
-        let extras: Word = parsed
-            .iter()
-            .map(|a| match a {
-                Arg::Operand { extra: Some(_), .. } => 1,
-                _ => 0,
-            })
-            .sum();
-        2 + 2 * extras
-    };
-    Ok((size, parsed))
+/// The field value of a branch or `SOB` target `v`, or of trap number `v`,
+/// for an instruction at `addr`.
+fn late_value(field: Field, v: i32, addr: Word, line: usize) -> Result<Word, AsmError> {
+    let next = addr as i32 + 2;
+    match field {
+        Field::Branch => {
+            let diff = v - next;
+            if diff % 2 != 0 {
+                return Err(err(line, "branch target at odd distance"));
+            }
+            let off = diff / 2;
+            if !(-128..=127).contains(&off) {
+                return Err(err(line, format!("branch out of range: {off} words")));
+            }
+            Ok(off as u8 as Word)
+        }
+        Field::Sob => {
+            let diff = next - v;
+            if diff % 2 != 0 || !(0..=126).contains(&diff) {
+                return Err(err(line, "backward branch target out of range"));
+            }
+            Ok((diff / 2) as Word)
+        }
+        Field::Byte => {
+            if !(0..=255).contains(&v) {
+                return Err(err(line, "trap number out of range"));
+            }
+            Ok(v as Word)
+        }
+        Field::Operand(_) | Field::Reg(_) => unreachable!("placed when parsed"),
+    }
 }
 
 #[cfg(test)]
@@ -1035,5 +793,33 @@ sub:    RTS PC
     fn numbers_in_all_bases() {
         let p = assemble(".word 10, 0o10, 0x10, 'A, -1").unwrap();
         assert_eq!(p.words, vec![10, 8, 16, 65, 0o177777]);
+    }
+
+    #[test]
+    fn location_counter_past_the_address_space_errors() {
+        let ascii = format!(".org 65500\n.ascii \"{}\"", "x".repeat(100));
+        for src in [
+            ".blkw 0o37777\n.blkw 0o37777\n.blkw 0o37777",
+            &ascii,
+            ".org 0o177776\nNOP\nNOP",
+            ".org 65534\nMOV #1, R0",
+            ".org 0o177776\nNOP\nend:",
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert!(e.message.contains("past the end"), "{src}: {e}");
+        }
+        // The last word of the address space can still be filled.
+        let p = assemble_at("NOP", 0o177776).unwrap();
+        assert_eq!(p.words, vec![0o000240]);
+    }
+
+    #[test]
+    fn operand_counts_are_checked() {
+        for src in ["RTS", "HALT R0", "MOV R0", "TRAP", "SOB R1", "NOP R0"] {
+            let e = assemble(src).unwrap_err();
+            assert!(e.message.contains("operand"), "{src}: {e}");
+        }
+        let e = assemble("MOV (PC)+, R0").unwrap_err();
+        assert!(e.message.contains("extension word"), "{e}");
     }
 }

@@ -1,11 +1,14 @@
 //! A disassembler for the machine's instruction subset.
 //!
 //! Produces MACRO-11-flavoured text from memory words, consuming operand
-//! extension words as the hardware would. Round-trips with the assembler
-//! for every encodable instruction (see the property tests), and renders
-//! reserved words as `.word` directives so any memory image can be listed.
+//! extension words as the hardware would, and renders reserved words as
+//! `.word` directives so any memory image can be listed. Names and operand
+//! layouts come from [`OPCODES`](crate::isa::OPCODES), the same table the
+//! assembler encodes with, so the two cannot drift: the machine's property
+//! suite reassembles the listing of every one of the 65,536 base words and
+//! checks it reproduces the original encoding.
 
-use crate::isa::{decode, BinOp, BranchCond, Instr, Operand, UnOp};
+use crate::isa::{reg_name, Field, Opcode, Operand};
 use crate::types::Word;
 
 /// One disassembled instruction.
@@ -13,157 +16,76 @@ use crate::types::Word;
 pub struct Listing {
     /// Byte address of the instruction's first word.
     pub addr: Word,
-    /// The words consumed (1–3).
+    /// The words consumed (1–3; fewer if `words` ends first).
     pub words: Vec<Word>,
     /// The rendered text.
     pub text: String,
 }
 
 /// Disassembles one instruction starting at `words[idx]`; returns the
-/// listing and the number of words consumed.
+/// listing and the number of words consumed. Extension words past the end
+/// of `words` read as zero.
 pub fn disassemble_at(words: &[Word], idx: usize, addr: Word) -> (Listing, usize) {
     let word = words[idx];
-    let Some(instr) = decode(word) else {
-        return (
-            Listing {
-                addr,
-                words: vec![word],
-                text: format!(".word {word:#08o}"),
-            },
-            1,
-        );
-    };
     let mut used = 1usize;
-    let next_extra = |used: &mut usize| -> Word {
-        let w = words.get(idx + *used).copied().unwrap_or(0);
-        *used += 1;
-        w
-    };
-
-    // Renders an operand, consuming its extension word if needed. `pc_now`
-    // is the PC *after* this operand's extension word, needed for relative
-    // modes.
-    let operand = |op: Operand, used: &mut usize| -> String {
-        let needs_extra = matches!(op.mode, 6 | 7) || (op.reg == 7 && matches!(op.mode, 2 | 3));
-        if !needs_extra {
-            return op.to_string();
-        }
-        let x = next_extra(used);
-        match (op.mode, op.reg) {
-            (2, 7) => format!("#{x:#o}"),
-            (3, 7) => format!("@#{x:#o}"),
-            (6, 7) => {
-                let target = (addr as i32 + 2 * *used as i32 + x as i16 as i32) as u16;
-                format!("{target:#o}") // PC-relative rendered as the target
-            }
-            (7, 7) => {
-                let target = (addr as i32 + 2 * *used as i32 + x as i16 as i32) as u16;
-                format!("@{target:#o}")
-            }
-            (6, r) => format!("{:#o}({})", x, reg_name(r)),
-            (7, r) => format!("@{:#o}({})", x, reg_name(r)),
-            _ => unreachable!(),
-        }
-    };
-
-    let text = match instr {
-        Instr::Double { op, byte, src, dst } => {
-            let mnem = match (op, byte) {
-                (BinOp::Mov, false) => "MOV",
-                (BinOp::Mov, true) => "MOVB",
-                (BinOp::Cmp, false) => "CMP",
-                (BinOp::Cmp, true) => "CMPB",
-                (BinOp::Bit, false) => "BIT",
-                (BinOp::Bit, true) => "BITB",
-                (BinOp::Bic, false) => "BIC",
-                (BinOp::Bic, true) => "BICB",
-                (BinOp::Bis, false) => "BIS",
-                (BinOp::Bis, true) => "BISB",
-                (BinOp::Add, _) => "ADD",
-                (BinOp::Sub, _) => "SUB",
-            };
-            let s = operand(src, &mut used);
-            let d = operand(dst, &mut used);
-            format!("{mnem} {s}, {d}")
-        }
-        Instr::Single { op, byte, dst } => {
-            let stem = match op {
-                UnOp::Clr => "CLR",
-                UnOp::Com => "COM",
-                UnOp::Inc => "INC",
-                UnOp::Dec => "DEC",
-                UnOp::Neg => "NEG",
-                UnOp::Adc => "ADC",
-                UnOp::Sbc => "SBC",
-                UnOp::Tst => "TST",
-                UnOp::Ror => "ROR",
-                UnOp::Rol => "ROL",
-                UnOp::Asr => "ASR",
-                UnOp::Asl => "ASL",
-                UnOp::Swab => "SWAB",
-                UnOp::Sxt => "SXT",
-            };
-            let mnem = if byte {
-                format!("{stem}B")
+    let text = match Opcode::of_word(word) {
+        None => format!(".word {word:#08o}"),
+        Some(opcode) => {
+            let next = addr.wrapping_add(2);
+            let fields: Vec<String> = opcode
+                .shape
+                .fields()
+                .iter()
+                .map(|&field| {
+                    let v = field.get(word);
+                    match field {
+                        Field::Operand(_) => {
+                            let op = Operand::from_bits(v);
+                            if !op.has_extension_word() {
+                                return op.to_string();
+                            }
+                            let x = words.get(idx + used).copied().unwrap_or(0);
+                            used += 1;
+                            let pc = addr.wrapping_add(2 * used as Word);
+                            extended_operand(op, x, pc)
+                        }
+                        Field::Reg(_) => reg_name(v as u8).to_string(),
+                        Field::Branch => {
+                            let target = next.wrapping_add((v as u8 as i8 as Word) << 1);
+                            format!("{target:#o}")
+                        }
+                        Field::Sob => format!("{:#o}", next.wrapping_sub(v << 1)),
+                        Field::Byte => format!("{v:#o}"),
+                    }
+                })
+                .collect();
+            if fields.is_empty() {
+                opcode.mnemonic.to_string()
             } else {
-                stem.to_string()
-            };
-            let d = operand(dst, &mut used);
-            format!("{mnem} {d}")
+                format!("{} {}", opcode.mnemonic, fields.join(", "))
+            }
         }
-        Instr::Branch { cond, offset } => {
-            let mnem = match cond {
-                BranchCond::Br => "BR",
-                BranchCond::Bne => "BNE",
-                BranchCond::Beq => "BEQ",
-                BranchCond::Bge => "BGE",
-                BranchCond::Blt => "BLT",
-                BranchCond::Bgt => "BGT",
-                BranchCond::Ble => "BLE",
-                BranchCond::Bpl => "BPL",
-                BranchCond::Bmi => "BMI",
-                BranchCond::Bhi => "BHI",
-                BranchCond::Blos => "BLOS",
-                BranchCond::Bvc => "BVC",
-                BranchCond::Bvs => "BVS",
-                BranchCond::Bcc => "BCC",
-                BranchCond::Bcs => "BCS",
-            };
-            let target = (addr as i32 + 2 + 2 * offset as i32) as u16;
-            format!("{mnem} {target:#o}")
-        }
-        Instr::Jmp { dst } => format!("JMP {}", operand(dst, &mut used)),
-        Instr::Jsr { reg, dst } => {
-            format!("JSR {}, {}", reg_name(reg), operand(dst, &mut used))
-        }
-        Instr::Rts { reg } => format!("RTS {}", reg_name(reg)),
-        Instr::Sob { reg, offset } => {
-            let target = (addr as i32 + 2 - 2 * offset as i32) as u16;
-            format!("SOB {}, {target:#o}", reg_name(reg))
-        }
-        Instr::Mul { reg, src } => format!("MUL {}, {}", operand(src, &mut used), reg_name(reg)),
-        Instr::Div { reg, src } => format!("DIV {}, {}", operand(src, &mut used), reg_name(reg)),
-        Instr::Ash { reg, src } => format!("ASH {}, {}", operand(src, &mut used), reg_name(reg)),
-        Instr::Xor { reg, dst } => format!("XOR {}, {}", reg_name(reg), operand(dst, &mut used)),
-        Instr::Emt(n) => format!("EMT {n:#o}"),
-        Instr::Trap(n) => format!("TRAP {n:#o}"),
-        Instr::Bpt => "BPT".into(),
-        Instr::Iot => "IOT".into(),
-        Instr::Halt => "HALT".into(),
-        Instr::Wait => "WAIT".into(),
-        Instr::Reset => "RESET".into(),
-        Instr::Rti => "RTI".into(),
-        Instr::Rtt => "RTT".into(),
-        Instr::CondCode { set, mask } => cc_name(set, mask),
     };
+    let end = (idx + used).min(words.len());
     (
         Listing {
             addr,
-            words: words[idx..idx + used].to_vec(),
+            words: words[idx..end].to_vec(),
             text,
         },
         used,
     )
+}
+
+/// Renders an operand that takes extension word `x`, with the PC `pc` past
+/// it: PC-relative forms are rendered as their target address.
+fn extended_operand(op: Operand, x: Word, pc: Word) -> String {
+    let at = if op.mode % 2 == 1 { "@" } else { "" };
+    match (op.mode, op.reg) {
+        (2 | 3, _) => format!("{at}#{x:#o}"),
+        (_, 7) => format!("{at}{:#o}", pc.wrapping_add(x)),
+        (_, r) => format!("{at}{x:#o}({})", reg_name(r)),
+    }
 }
 
 /// Disassembles a word slice into a listing, starting at byte address
@@ -178,36 +100,6 @@ pub fn disassemble(words: &[Word], origin: Word) -> Vec<Listing> {
         idx += used;
     }
     out
-}
-
-fn reg_name(r: u8) -> &'static str {
-    match r {
-        0 => "R0",
-        1 => "R1",
-        2 => "R2",
-        3 => "R3",
-        4 => "R4",
-        5 => "R5",
-        6 => "SP",
-        _ => "PC",
-    }
-}
-
-fn cc_name(set: bool, mask: u8) -> String {
-    match (set, mask) {
-        (false, 0) => "NOP".into(),
-        (false, 0o1) => "CLC".into(),
-        (false, 0o2) => "CLV".into(),
-        (false, 0o4) => "CLZ".into(),
-        (false, 0o10) => "CLN".into(),
-        (false, 0o17) => "CCC".into(),
-        (true, 0o1) => "SEC".into(),
-        (true, 0o2) => "SEV".into(),
-        (true, 0o4) => "SEZ".into(),
-        (true, 0o10) => "SEN".into(),
-        (true, 0o17) => "SCC".into(),
-        (s, m) => format!(".word {:#08o}", 0o000240 | ((s as Word) << 4) | m as Word),
-    }
 }
 
 #[cfg(test)]
@@ -255,6 +147,14 @@ mod tests {
     fn reserved_words_become_data() {
         let texts = disassemble(&[0o000007], 0);
         assert_eq!(texts[0].text, ".word 0o000007");
+    }
+
+    #[test]
+    fn missing_extension_words_read_as_zero() {
+        // `MOV #x, R0` whose immediate word lies past the slice.
+        let listing = disassemble(&[0o012700], 0);
+        assert_eq!(listing[0].text, "MOV #0o0, R0");
+        assert_eq!(listing[0].words, vec![0o012700]);
     }
 
     #[test]

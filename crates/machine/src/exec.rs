@@ -1767,10 +1767,7 @@ fn classify(instr: Instr) -> Class {
         }
         _ => {}
     }
-    // Extension words an operand consumes from the instruction stream.
-    let ext = |o: Operand| -> u32 {
-        (o.mode >= 6 || (o.reg == 7 && (o.mode == 2 || o.mode == 3))) as u32
-    };
+    let ext = |o: Operand| u32::from(o.has_extension_word());
     // Auto-decrement through the PC rewrites it: never straight-line.
     let hostile = |o: Operand| o.reg == 7 && matches!(o.mode, 4 | 5);
     match instr {

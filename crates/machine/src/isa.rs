@@ -1,9 +1,15 @@
-//! Instruction set: decoding of the PDP-11 subset the machine executes.
+//! Instruction set: the encoding of the PDP-11 subset the machine executes.
 //!
 //! Encodings are the real PDP-11 ones (word opcodes in octal), covering the
 //! double-operand group, the single-operand group, branches, subroutine
 //! linkage, `SOB`, EIS `MUL`/`DIV`/`ASH`/`XOR`, traps, and condition-code
 //! operates — enough to write real programs, which the examples do.
+//!
+//! This module is the only place the encoding is spelled. [`OPCODES`] maps
+//! every mnemonic to its base word and operand [`Shape`]; the assembler
+//! encodes and the disassembler names words through it, and [`decode`]
+//! (hand-written, as it sits on the execution hot path) is checked against
+//! it over all 65,536 words by the machine's property tests.
 
 use crate::types::Word;
 use core::fmt;
@@ -18,21 +24,34 @@ pub struct Operand {
 }
 
 impl Operand {
-    fn from_bits(bits: Word) -> Operand {
+    pub(crate) fn from_bits(bits: Word) -> Operand {
         Operand {
             mode: ((bits >> 3) & 0o7) as u8,
             reg: (bits & 0o7) as u8,
         }
     }
+
+    /// The operand's six-bit field value.
+    pub(crate) fn bits(self) -> Word {
+        ((self.mode as Word) << 3) | self.reg as Word
+    }
+
+    /// Whether the operand takes an extension word from the instruction
+    /// stream: the index modes 6 and 7, and the PC's autoincrement modes
+    /// (immediate `#x` and absolute `@#x`).
+    pub fn has_extension_word(self) -> bool {
+        self.mode >= 6 || (self.reg == 7 && matches!(self.mode, 2 | 3))
+    }
+}
+
+/// The assembler name of register `r` (`R0`–`R5`, `SP`, `PC`).
+pub fn reg_name(r: u8) -> &'static str {
+    ["R0", "R1", "R2", "R3", "R4", "R5", "SP", "PC"][(r & 0o7) as usize]
 }
 
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let r = match self.reg {
-            6 => "SP".to_string(),
-            7 => "PC".to_string(),
-            n => format!("R{n}"),
-        };
+        let r = reg_name(self.reg);
         match self.mode {
             0 => write!(f, "{r}"),
             1 => write!(f, "({r})"),
@@ -242,6 +261,217 @@ pub enum Instr {
         /// Which codes to affect.
         mask: u8,
     },
+}
+
+/// One operand field of an instruction's base word, in source order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Field {
+    /// A six-bit mode/register [`Operand`] at this bit offset.
+    Operand(u32),
+    /// A bare register number at this bit offset.
+    Reg(u32),
+    /// A branch target: signed 8-bit word offset from the updated PC.
+    Branch,
+    /// A `SOB` target: 6-bit word offset back from the updated PC.
+    Sob,
+    /// An 8-bit literal (trap number).
+    Byte,
+}
+
+impl Field {
+    fn shift(self) -> u32 {
+        match self {
+            Field::Operand(s) | Field::Reg(s) => s,
+            Field::Branch | Field::Sob | Field::Byte => 0,
+        }
+    }
+
+    /// The bits the field occupies in the word.
+    fn mask(self) -> Word {
+        let width: Word = match self {
+            Field::Operand(_) | Field::Sob => 0o77,
+            Field::Reg(_) => 0o7,
+            Field::Branch | Field::Byte => 0o377,
+        };
+        width << self.shift()
+    }
+
+    /// The field's value in `word`.
+    pub(crate) fn get(self, word: Word) -> Word {
+        (word & self.mask()) >> self.shift()
+    }
+
+    /// `value` placed in the field's bits (excess high bits are dropped).
+    pub(crate) fn put(self, value: Word) -> Word {
+        (value << self.shift()) & self.mask()
+    }
+}
+
+/// An instruction's operand layout around its base opcode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// `op src, dst`: source in bits 11–6, destination in bits 5–0.
+    Double,
+    /// `op dst`: destination in bits 5–0.
+    Single,
+    /// `op target`: signed 8-bit word offset.
+    Branch,
+    /// `op reg, dst`: register in bits 8–6, destination in bits 5–0 (`JSR`,
+    /// `XOR`).
+    RegDst,
+    /// `op src, reg`: register in bits 8–6, source in bits 5–0 (`MUL`,
+    /// `DIV`, `ASH`).
+    RegSrc,
+    /// `op reg`: register in bits 2–0 (`RTS`).
+    Rts,
+    /// `op reg, target`: register in bits 8–6, backward offset in 5–0.
+    Sob,
+    /// `op n`: 8-bit trap number.
+    Trap,
+    /// No operands.
+    NoOperand,
+}
+
+impl Shape {
+    /// The operand fields in source order; their count is the arity.
+    pub(crate) fn fields(self) -> &'static [Field] {
+        match self {
+            Shape::Double => &[Field::Operand(6), Field::Operand(0)],
+            Shape::Single => &[Field::Operand(0)],
+            Shape::Branch => &[Field::Branch],
+            Shape::RegDst => &[Field::Reg(6), Field::Operand(0)],
+            Shape::RegSrc => &[Field::Operand(0), Field::Reg(6)],
+            Shape::Rts => &[Field::Reg(0)],
+            Shape::Sob => &[Field::Reg(6), Field::Sob],
+            Shape::Trap => &[Field::Byte],
+            Shape::NoOperand => &[],
+        }
+    }
+
+    /// The bits the operand fields occupy; the rest is the opcode.
+    pub fn field_mask(self) -> Word {
+        self.fields().iter().fold(0, |m, f| m | f.mask())
+    }
+}
+
+/// One named encoding: `mnemonic` is `base` with its operand fields filled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Opcode {
+    /// Upper-case mnemonic.
+    pub mnemonic: &'static str,
+    /// The word with every operand field zero.
+    pub base: Word,
+    /// The operand layout.
+    pub shape: Shape,
+}
+
+const fn op(mnemonic: &'static str, base: Word, shape: Shape) -> Opcode {
+    Opcode {
+        mnemonic,
+        base,
+        shape,
+    }
+}
+
+/// Every mnemonic the machine knows. Condition-code operates are exact
+/// entries, so a combination with no name (`0o000260`) has no entry.
+pub const OPCODES: &[Opcode] = &[
+    op("MOV", 0o010000, Shape::Double),
+    op("MOVB", 0o110000, Shape::Double),
+    op("CMP", 0o020000, Shape::Double),
+    op("CMPB", 0o120000, Shape::Double),
+    op("BIT", 0o030000, Shape::Double),
+    op("BITB", 0o130000, Shape::Double),
+    op("BIC", 0o040000, Shape::Double),
+    op("BICB", 0o140000, Shape::Double),
+    op("BIS", 0o050000, Shape::Double),
+    op("BISB", 0o150000, Shape::Double),
+    op("ADD", 0o060000, Shape::Double),
+    op("SUB", 0o160000, Shape::Double),
+    op("CLR", 0o005000, Shape::Single),
+    op("CLRB", 0o105000, Shape::Single),
+    op("COM", 0o005100, Shape::Single),
+    op("COMB", 0o105100, Shape::Single),
+    op("INC", 0o005200, Shape::Single),
+    op("INCB", 0o105200, Shape::Single),
+    op("DEC", 0o005300, Shape::Single),
+    op("DECB", 0o105300, Shape::Single),
+    op("NEG", 0o005400, Shape::Single),
+    op("NEGB", 0o105400, Shape::Single),
+    op("ADC", 0o005500, Shape::Single),
+    op("ADCB", 0o105500, Shape::Single),
+    op("SBC", 0o005600, Shape::Single),
+    op("SBCB", 0o105600, Shape::Single),
+    op("TST", 0o005700, Shape::Single),
+    op("TSTB", 0o105700, Shape::Single),
+    op("ROR", 0o006000, Shape::Single),
+    op("RORB", 0o106000, Shape::Single),
+    op("ROL", 0o006100, Shape::Single),
+    op("ROLB", 0o106100, Shape::Single),
+    op("ASR", 0o006200, Shape::Single),
+    op("ASRB", 0o106200, Shape::Single),
+    op("ASL", 0o006300, Shape::Single),
+    op("ASLB", 0o106300, Shape::Single),
+    op("SWAB", 0o000300, Shape::Single),
+    op("SXT", 0o006700, Shape::Single),
+    op("JMP", 0o000100, Shape::Single),
+    op("BR", 0o000400, Shape::Branch),
+    op("BNE", 0o001000, Shape::Branch),
+    op("BEQ", 0o001400, Shape::Branch),
+    op("BGE", 0o002000, Shape::Branch),
+    op("BLT", 0o002400, Shape::Branch),
+    op("BGT", 0o003000, Shape::Branch),
+    op("BLE", 0o003400, Shape::Branch),
+    op("BPL", 0o100000, Shape::Branch),
+    op("BMI", 0o100400, Shape::Branch),
+    op("BHI", 0o101000, Shape::Branch),
+    op("BLOS", 0o101400, Shape::Branch),
+    op("BVC", 0o102000, Shape::Branch),
+    op("BVS", 0o102400, Shape::Branch),
+    op("BCC", 0o103000, Shape::Branch),
+    op("BCS", 0o103400, Shape::Branch),
+    op("JSR", 0o004000, Shape::RegDst),
+    op("XOR", 0o074000, Shape::RegDst),
+    op("MUL", 0o070000, Shape::RegSrc),
+    op("DIV", 0o071000, Shape::RegSrc),
+    op("ASH", 0o072000, Shape::RegSrc),
+    op("RTS", 0o000200, Shape::Rts),
+    op("SOB", 0o077000, Shape::Sob),
+    op("EMT", 0o104000, Shape::Trap),
+    op("TRAP", 0o104400, Shape::Trap),
+    op("HALT", 0o000000, Shape::NoOperand),
+    op("WAIT", 0o000001, Shape::NoOperand),
+    op("RTI", 0o000002, Shape::NoOperand),
+    op("BPT", 0o000003, Shape::NoOperand),
+    op("IOT", 0o000004, Shape::NoOperand),
+    op("RESET", 0o000005, Shape::NoOperand),
+    op("RTT", 0o000006, Shape::NoOperand),
+    op("NOP", 0o000240, Shape::NoOperand),
+    op("CLC", 0o000241, Shape::NoOperand),
+    op("CLV", 0o000242, Shape::NoOperand),
+    op("CLZ", 0o000244, Shape::NoOperand),
+    op("CLN", 0o000250, Shape::NoOperand),
+    op("CCC", 0o000257, Shape::NoOperand),
+    op("SEC", 0o000261, Shape::NoOperand),
+    op("SEV", 0o000262, Shape::NoOperand),
+    op("SEZ", 0o000264, Shape::NoOperand),
+    op("SEN", 0o000270, Shape::NoOperand),
+    op("SCC", 0o000277, Shape::NoOperand),
+];
+
+impl Opcode {
+    /// The entry for an upper-case mnemonic.
+    pub fn named(mnemonic: &str) -> Option<&'static Opcode> {
+        OPCODES.iter().find(|o| o.mnemonic == mnemonic)
+    }
+
+    /// The entry that spells `word`: `None` for reserved words and for
+    /// condition-code combinations with no name.
+    pub fn of_word(word: Word) -> Option<&'static Opcode> {
+        OPCODES
+            .iter()
+            .find(|o| word & !o.shape.field_mask() == o.base)
+    }
 }
 
 /// Decodes the base word of an instruction. Returns `None` for reserved or

@@ -1,6 +1,7 @@
 //! Property tests for the machine substrate: arithmetic flags against a
 //! reference model, assembler data fidelity, and MMU bounds.
 
+use sep_machine::isa::{decode, Instr, Opcode, Shape, OPCODES};
 use sep_machine::mmu::{Access, Mmu, SegmentDescriptor};
 use sep_machine::psw::Mode;
 use sep_machine::{assemble, Event, Machine, Trap};
@@ -185,44 +186,112 @@ fn decode_never_panics() {
     check(64, word, decode);
 }
 
-/// Disassembling a word window and reassembling the text reproduces the
-/// original encoding exactly.
+/// Disassembling a word window and reassembling the text at the same
+/// origin reproduces the original encoding exactly.
 fn disassembler_roundtrips_on(words: [u16; 3]) {
     use sep_machine::disasm::disassemble_at;
     let origin = 0o2000u16;
     let (listing, used) = disassemble_at(&words, 0, origin);
     let src = format!(".org {origin}\n{}", listing.text);
-    match assemble(&src) {
-        Ok(prog) => {
-            let skip = (origin / 2) as usize;
-            assert_eq!(
-                &prog.words[skip..],
-                &words[..used],
-                "text: {}",
-                listing.text
-            );
-        }
-        Err(e) => {
-            // The only legitimate reassembly failures are branch/SOB
-            // targets that wrapped around the 16-bit space.
-            assert!(
-                e.message.contains("out of range") || e.message.contains("odd distance"),
-                "{}: {e}",
-                listing.text
-            );
-        }
-    }
+    let prog = assemble(&src).unwrap_or_else(|e| panic!("{}: {e}", listing.text));
+    let skip = (origin / 2) as usize;
+    assert_eq!(
+        &prog.words[skip..],
+        &words[..used],
+        "text: {}",
+        listing.text
+    );
+    assert_eq!(listing.words, &words[..used]);
 }
 
 #[test]
 fn disassembler_roundtrips() {
     // SCC with an empty mask: once disassembled as `NOP` (0o000240).
     disassembler_roundtrips_on([0o000260, 0, 0]);
-    check(
-        64,
-        |g| [word(g), word(g), word(g)],
-        disassembler_roundtrips_on,
-    );
+    // Every base word, with zero extension words and with extension words
+    // that make PC-relative targets wrap around the address space.
+    for w in 0..=u16::MAX {
+        disassembler_roundtrips_on([w, 0, 0]);
+        disassembler_roundtrips_on([w, 0o1234, 0o177776]);
+    }
+}
+
+/// The shape `decode` gives an instruction, to hold the opcode table to.
+fn decoded_shape(instr: Instr) -> Shape {
+    match instr {
+        Instr::Double { .. } => Shape::Double,
+        Instr::Single { .. } | Instr::Jmp { .. } => Shape::Single,
+        Instr::Branch { .. } => Shape::Branch,
+        Instr::Jsr { .. } | Instr::Xor { .. } => Shape::RegDst,
+        Instr::Mul { .. } | Instr::Div { .. } | Instr::Ash { .. } => Shape::RegSrc,
+        Instr::Rts { .. } => Shape::Rts,
+        Instr::Sob { .. } => Shape::Sob,
+        Instr::Emt(_) | Instr::Trap(_) => Shape::Trap,
+        _ => Shape::NoOperand,
+    }
+}
+
+#[test]
+fn opcode_table_agrees_with_decode() {
+    for w in 0..=u16::MAX {
+        let named: Vec<&Opcode> = OPCODES
+            .iter()
+            .filter(|o| w & !o.shape.field_mask() == o.base)
+            .collect();
+        assert!(named.len() <= 1, "{w:#o} has two names: {named:?}");
+        match (Opcode::of_word(w), decode(w)) {
+            (Some(op), Some(instr)) => {
+                assert_eq!(decoded_shape(instr), op.shape, "{w:#o} {op:?} {instr:?}");
+                // The name is the decoded operation's (`MOVB` is `Mov` with
+                // `byte`); condition codes are pinned below.
+                let byte = matches!(
+                    instr,
+                    Instr::Double { byte: true, .. } | Instr::Single { byte: true, .. }
+                );
+                let stem = match op.mnemonic.strip_suffix('B') {
+                    Some(stem) if byte => stem,
+                    _ => {
+                        assert!(!byte, "{w:#o}: {} is a byte operation", op.mnemonic);
+                        op.mnemonic
+                    }
+                };
+                let debug = format!("{instr:?}").to_ascii_uppercase();
+                if !matches!(instr, Instr::CondCode { .. }) {
+                    assert!(
+                        debug.contains(&format!(": {stem},"))
+                            || debug.starts_with(&format!("{stem} "))
+                            || debug.starts_with(&format!("{stem}("))
+                            || debug == stem,
+                        "{w:#o}: {} is not {instr:?}",
+                        op.mnemonic
+                    );
+                }
+            }
+            (Some(op), None) => panic!("{w:#o}: {} names a word decode rejects", op.mnemonic),
+            // Only condition-code combinations without a name go unnamed.
+            (None, Some(instr)) => {
+                assert!(matches!(instr, Instr::CondCode { .. }), "{w:#o} {instr:?}")
+            }
+            (None, None) => {}
+        }
+    }
+    let cc = [
+        ("NOP", false, 0),
+        ("CLC", false, 1),
+        ("CLV", false, 2),
+        ("CLZ", false, 4),
+        ("CLN", false, 8),
+        ("CCC", false, 15),
+        ("SEC", true, 1),
+        ("SEV", true, 2),
+        ("SEZ", true, 4),
+        ("SEN", true, 8),
+        ("SCC", true, 15),
+    ];
+    for (name, set, mask) in cc {
+        let base = Opcode::named(name).unwrap().base;
+        assert_eq!(decode(base), Some(Instr::CondCode { set, mask }), "{name}");
+    }
 }
 
 #[test]

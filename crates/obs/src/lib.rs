@@ -10,8 +10,8 @@
 //!   traps, interrupts fielded and delivered, channel `SEND`/`RECV` with
 //!   byte counts, MMU faults, wire traffic, and the conventional baseline's
 //!   policy mediations.
-//! * [`sink`] — the [`EventSink`] trait, the no-op [`Disabled`] sink, and
-//!   the fixed-capacity ring-buffer [`TraceBuffer`].
+//! * [`sink`] — [`TraceBuffer`], the fixed-capacity event ring a tracing
+//!   [`Recorder`] writes to.
 //! * [`metrics`] — a [`Metrics`] registry of per-regime and per-device
 //!   counters with `#[inline]` increment paths.
 //! * [`recorder`] — a [`Recorder`] bundling metrics with an optional trace,
@@ -42,4 +42,4 @@ pub use json::Json;
 pub use metrics::{DeviceCounters, HotPathCounters, Metrics, RegimeCounters, Totals};
 pub use recorder::{Recorder, NO_CONTEXT};
 pub use report::{hotpath_json, metrics_json, RunReport};
-pub use sink::{Disabled, EventSink, TimedEvent, TraceBuffer};
+pub use sink::{TimedEvent, TraceBuffer};

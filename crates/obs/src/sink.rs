@@ -1,9 +1,7 @@
-//! Event sinks: where emitted events go.
-//!
-//! The [`EventSink`] trait is the extension point; the two provided sinks
-//! are [`Disabled`] (the default — its `record` is an empty inlined body,
-//! so instrumented code pays nothing) and [`TraceBuffer`], a fixed-capacity
-//! ring that keeps the most recent events and counts what it dropped.
+//! Where emitted events go: [`TraceBuffer`], a fixed-capacity ring that
+//! keeps the most recent events and counts what it dropped. A
+//! [`Recorder`](crate::Recorder) with tracing off holds no buffer, so
+//! instrumented code pays one branch on an `Option`.
 
 use crate::event::ObsEvent;
 
@@ -15,32 +13,6 @@ pub struct TimedEvent {
     pub ts: u64,
     /// The event.
     pub event: ObsEvent,
-}
-
-/// A consumer of observability events.
-pub trait EventSink {
-    /// Records one event at a deterministic timestamp.
-    fn record(&mut self, ts: u64, event: ObsEvent);
-
-    /// Whether this sink actually stores anything. Instrumentation may use
-    /// this to skip expensive event construction.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The no-op sink: recording compiles to nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Disabled;
-
-impl EventSink for Disabled {
-    #[inline(always)]
-    fn record(&mut self, _ts: u64, _event: ObsEvent) {}
-
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 /// A fixed-capacity ring buffer of [`TimedEvent`]s.
@@ -65,11 +37,11 @@ impl TraceBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero — use [`Disabled`] to record nothing.
+    /// Panics if `capacity` is zero — leave tracing off to record nothing.
     pub fn new(capacity: usize) -> TraceBuffer {
         assert!(
             capacity > 0,
-            "a zero-capacity trace records nothing; use Disabled"
+            "a zero-capacity trace records nothing; leave tracing off"
         );
         TraceBuffer {
             buf: Vec::with_capacity(capacity.min(4096)),
@@ -120,11 +92,10 @@ impl TraceBuffer {
             .filter(|t| pred(&t.event))
             .collect()
     }
-}
 
-impl EventSink for TraceBuffer {
+    /// Records one event at a deterministic timestamp.
     #[inline]
-    fn record(&mut self, ts: u64, event: ObsEvent) {
+    pub fn record(&mut self, ts: u64, event: ObsEvent) {
         self.recorded += 1;
         if self.buf.len() < self.capacity {
             self.buf.push(TimedEvent { ts, event });
@@ -145,13 +116,6 @@ mod tests {
             regime: n,
             number: 0,
         }
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let mut d = Disabled;
-        d.record(1, ev(0));
-        assert!(!d.enabled());
     }
 
     #[test]
