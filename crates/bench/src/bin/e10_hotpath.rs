@@ -11,16 +11,19 @@
 //! superblock tier at ≥3× the decode path. The checker section reports
 //! the sharded checker's states/sec, its 16-byte-per-state seen-set and
 //! the number of distinct RAM buffers among its explored states (RAM is
-//! copy-on-write; the register workload must keep exactly one), with the
-//! report asserted equal to the reference checker's.
+//! copy-on-write; the register workload must keep exactly one) and of
+//! distinct RAM pages (copy-on-write is per page; the memory workload must
+//! hold fewer than one whole RAM per buffer), with the report asserted
+//! equal to the reference checker's.
 //! `BENCH_obs_e10_hotpath.json` keeps the deterministic sections
 //! (instruction counts, cache counters, checker reports) apart from
 //! wall-clock timing.
 
 use sep_bench::{checker_run_json, header, memory_workload, register_workload, row, timed};
 use sep_kernel::kernel::SeparationKernel;
-use sep_kernel::verify::{distinct_ram_buffers, CheckerSelect, KernelSystem};
+use sep_kernel::verify::{distinct_ram_buffers, distinct_ram_pages, CheckerSelect, KernelSystem};
 use sep_machine::asm::assemble;
+use sep_machine::mem::PAGES;
 use sep_machine::mmu::{Access, SegmentDescriptor};
 use sep_machine::psw::Mode;
 use sep_machine::Machine;
@@ -256,6 +259,7 @@ fn main() {
         "st/s",
         "fp bytes",
         "RAM buffers",
+        "RAM pages",
     ]);
     for name in ["registers_4", "memory_3"] {
         let sys = KernelSystem::new(match name {
@@ -274,9 +278,20 @@ fn main() {
         assert_eq!(stats.fp_bytes, 16 * rep.states as u64);
         // RAM is copy-on-write: register regimes never store, so every
         // explored state must still share the initial state's buffer.
-        let ram_buffers = distinct_ram_buffers(&sys.explore_sharded(SHARDS).0);
+        let explored = sys.explore_sharded(SHARDS).0;
+        let ram_buffers = distinct_ram_buffers(&explored);
         if name == "registers_4" {
             assert_eq!(ram_buffers, 1, "{name}: explored states copied RAM");
+        }
+        // RAM is copy-on-write per page: a state that stores copies only
+        // the page it writes, so the explored states hold far fewer pages
+        // than one whole RAM per distinct buffer.
+        let ram_pages = distinct_ram_pages(&explored);
+        if name == "memory_3" {
+            assert!(
+                ram_pages < ram_buffers * PAGES,
+                "{name}: {ram_pages} pages for {ram_buffers} RAM buffers"
+            );
         }
         row(&[
             name.into(),
@@ -285,11 +300,14 @@ fn main() {
             format!("{:.0}", rep.states as f64 / (ms / 1000.0)),
             stats.fp_bytes.to_string(),
             ram_buffers.to_string(),
+            ram_pages.to_string(),
         ]);
         report = report
             .run_custom(
                 &format!("checker_{name}"),
-                checker_run_json(&rep, Some(&stats)).field("ram_buffers", ram_buffers),
+                checker_run_json(&rep, Some(&stats))
+                    .field("ram_buffers", ram_buffers)
+                    .field("ram_pages", ram_pages),
             )
             .wall(
                 &format!("checker_{name}_fp_states_per_sec"),

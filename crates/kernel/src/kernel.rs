@@ -31,7 +31,7 @@ use sep_machine::dev::printer::LinePrinter;
 use sep_machine::dev::serial::SerialLine;
 use sep_machine::dev::InterruptRequest;
 use sep_machine::exec::{Event, Machine, Trap};
-use sep_machine::mem::IO_BASE;
+use sep_machine::mem::{IO_BASE, PAGE_SIZE};
 use sep_machine::mmu::{Access, SegmentDescriptor};
 use sep_machine::psw::{Mode, Psw};
 use sep_machine::types::{PhysAddr, Word};
@@ -40,6 +40,10 @@ use sep_obs::ObsEvent;
 /// Physical base of the first partition (below it is reserved for nothing —
 /// the kernel itself lives outside the machine).
 const FIRST_PARTITION: PhysAddr = 0o40000;
+
+// A partition is exactly one RAM page, so whole-partition copies are page
+// swaps and partition fingerprints are the pages' cached ones.
+const _: () = assert!(PARTITION_SIZE == PAGE_SIZE && FIRST_PARTITION.is_multiple_of(PAGE_SIZE));
 
 /// Bytes of I/O page reserved per regime for its devices.
 const DEV_WINDOW_BYTES: u32 = 1024;
@@ -381,10 +385,9 @@ impl SeparationKernel {
             }
 
             // Snapshot the freshly-imaged partition: this is what a
-            // `FaultPolicy::Restart` re-images from. Kept in an `Arc` so
-            // cloning a kernel (the checker does this constantly) shares it.
-            let boot_image =
-                std::sync::Arc::new(machine.mem.range(partition_base, PARTITION_SIZE).to_vec());
+            // `FaultPolicy::Restart` re-images from. It is the partition's
+            // page itself, shared (copy-on-write) with RAM and every clone.
+            let boot_image = machine.mem.page(partition_base).clone();
             let native_boot = match spec.fault_policy {
                 FaultPolicy::Restart { .. } => native.as_ref().map(|n| n.boxed_clone()),
                 FaultPolicy::Halt => None,
@@ -828,7 +831,7 @@ impl SeparationKernel {
         // regime restarts from the same state it first booted in.
         let base = self.regimes[r].partition_base;
         let image = self.regimes[r].boot_image.clone();
-        self.machine.mem.write_range(base, &image);
+        self.machine.mem.set_page(base, image);
         let rec = &mut self.regimes[r];
         rec.save = SaveArea::boot();
         rec.pending_irqs.clear();
@@ -1366,7 +1369,7 @@ impl SeparationKernel {
             return;
         }
         let k = k % n;
-        // Capture movable record state and partition bytes of every slot.
+        // Capture movable record state and partition pages of every slot.
         // Pending interrupts are captured with slot-relative vector
         // *offsets* (vector − the owning device's base vector): absolute
         // vectors are slot identity and must be re-derived at the
@@ -1393,15 +1396,10 @@ impl SeparationKernel {
                 )
             })
             .collect();
-        let partitions: Vec<Vec<u8>> = self
+        let partitions: Vec<_> = self
             .regimes
             .iter()
-            .map(|rec| {
-                self.machine
-                    .mem
-                    .range(rec.partition_base, PARTITION_SIZE)
-                    .to_vec()
-            })
+            .map(|rec| self.machine.mem.page(rec.partition_base).clone())
             .collect();
         let device_states: Vec<Vec<Vec<Word>>> = self
             .regimes
@@ -1424,7 +1422,7 @@ impl SeparationKernel {
             let (status, save, restarts_used, backoff_left, instr_since_yield, pending_irqs) =
                 movable[i].clone();
             let base = self.regimes[j].partition_base;
-            self.machine.mem.write_range(base, &partitions[i]);
+            self.machine.mem.set_page(base, partitions[i].clone());
             let dests: Vec<usize> = self.regimes[j]
                 .devices
                 .iter()

@@ -181,9 +181,9 @@ pub struct RegimeRecord {
     /// counter below then never moves, so watchdog-free configurations keep
     /// their pre-watchdog state spaces).
     pub watchdog: Option<u64>,
-    /// The partition's bytes as loaded at boot, shared (not duplicated) by
+    /// The partition's page as loaded at boot, shared (not duplicated) by
     /// every clone of the kernel; what a restart re-images from.
-    pub boot_image: std::sync::Arc<Vec<u8>>,
+    pub boot_image: std::sync::Arc<sep_machine::Page>,
     /// A pristine copy of the native program for restarts (present only
     /// when the policy is Restart and the regime is native).
     pub native_boot: Option<Box<dyn NativeRegime>>,

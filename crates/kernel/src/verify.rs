@@ -23,13 +23,13 @@
 
 use crate::config::{KernelConfig, Mutation, ProgramSpec, RegimeSpec, SchedPolicy};
 use crate::kernel::{KernelError, SeparationKernel};
-use crate::regime::{RegimeStatus, SaveArea, PARTITION_SIZE};
+use crate::regime::{RegimeStatus, SaveArea};
 use sep_machine::asm::assemble;
 use sep_machine::dev::InterruptRequest;
 use sep_machine::isa::{decode, Instr};
 use sep_machine::psw::{Mode, Psw};
 use sep_machine::types::Word;
-use sep_machine::Memory;
+use sep_machine::{Memory, Page};
 use sep_model::abstraction::Abstraction;
 use sep_model::canon::{Ample, Reduction};
 use sep_model::check::{CheckReport, SeparabilityChecker};
@@ -38,6 +38,7 @@ use sep_model::fp::{fingerprint, Dedup};
 use sep_model::parallel::{ExploreStats, ParallelSeparabilityChecker};
 use sep_model::system::{Finite, Projected, SharedSystem};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A kernel state, hashable and comparable through its canonical state
 /// vector.
@@ -512,6 +513,21 @@ pub fn distinct_ram_buffers(states: &[KernelState]) -> usize {
     buffers.len()
 }
 
+/// The number of distinct RAM page allocations across `states`: every page
+/// a store copied out, plus the pages still shared with the initial state.
+/// Page-granular copy-on-write keeps this far below
+/// [`distinct_ram_buffers`] × [`sep_machine::mem::PAGES`].
+pub fn distinct_ram_pages(states: &[KernelState]) -> usize {
+    let mut pages = std::collections::HashSet::new();
+    for s in states {
+        let mem = &s.kernel.machine.mem;
+        for base in (0..sep_machine::IO_BASE).step_by(sep_machine::PAGE_SIZE as usize) {
+            pages.insert(Arc::as_ptr(mem.page(base)));
+        }
+    }
+    pages.len()
+}
+
 impl SharedSystem for KernelSystem {
     type State = KernelState;
     type Input = KInput;
@@ -688,8 +704,8 @@ pub struct RegimeProjection {
     /// The execution context as the regime can see it (the live CPU when it
     /// is current, its save area otherwise).
     pub context: SaveArea,
-    /// Its partition's bytes.
-    pub partition: Vec<u8>,
+    /// Its partition's page, shared with the machine it was projected from.
+    pub partition: Arc<Page>,
     /// Its devices' snapshots, in binding order.
     pub devices: Vec<Vec<Word>>,
     /// Interrupts pending for it.
@@ -777,11 +793,7 @@ impl RegimeAbstraction {
         } else {
             rec.save
         };
-        let partition = kernel
-            .machine
-            .mem
-            .range(rec.partition_base, PARTITION_SIZE)
-            .to_vec();
+        let partition = kernel.machine.mem.page(rec.partition_base).clone();
         let devices = rec
             .devices
             .iter()
@@ -832,12 +844,10 @@ impl RegimeAbstraction {
         let mut psw = Psw::user();
         psw.set_cc_bits(a.context.cc);
         k.machine.cpu.psw = psw;
-        // Partition contents, written (and so copied out of the template's
-        // shared RAM) only when they differ from the template's.
+        // Partition contents: the projection's page itself, shared until
+        // the private machine stores to it.
         let base = k.regimes[0].partition_base;
-        if k.machine.mem.range(base, PARTITION_SIZE) != &a.partition[..] {
-            k.machine.mem.write_range(base, &a.partition);
-        }
+        k.machine.mem.set_page(base, a.partition.clone());
         // Devices.
         let bindings = k.regimes[0].devices.clone();
         for (binding, snap) in bindings.iter().zip(&a.devices) {
@@ -900,9 +910,10 @@ impl Abstraction<KernelSystem> for RegimeAbstraction {
     }
 
     /// In-place `Φ^c(s1) = Φ^c(s2)`: compares every component the
-    /// projection would capture — status, context, partition bytes, device
+    /// projection would capture — status, context, partition page, device
     /// snapshots, pending interrupts, visible channel queues — without
-    /// cloning the 8 KiB partition into a [`RegimeProjection`]. Agrees
+    /// building a [`RegimeProjection`]; a shared partition page compares
+    /// equal by pointer, without reading its bytes. Agrees
     /// exactly with `phi(s1) == phi(s2)` (pinned by a test below); the
     /// parallel checker leans on this for conditions 2–4, materialising
     /// views only when it needs a violation witness.
@@ -942,9 +953,7 @@ impl Abstraction<KernelSystem> for RegimeAbstraction {
         if c1 != c2 {
             return false;
         }
-        if k1.machine.mem.range(r1.partition_base, PARTITION_SIZE)
-            != k2.machine.mem.range(r2.partition_base, PARTITION_SIZE)
-        {
+        if k1.machine.mem.page(r1.partition_base) != k2.machine.mem.page(r2.partition_base) {
             return false;
         }
         if r1.devices.len() != r2.devices.len() {

@@ -22,6 +22,7 @@ use sep_kernel::regime::{FaultCause, FaultPolicy, RegimeStatus, PARTITION_SIZE};
 use sep_kernel::verify::{CheckerSelect, KernelSystem};
 use sep_machine::asm::assemble;
 use sep_machine::exec::Trap;
+use std::sync::Arc;
 
 /// Reads a word from a regime's partition at a label of its program.
 fn partition_word(k: &SeparationKernel, regime: usize, source: &str, label: &str) -> u16 {
@@ -446,7 +447,17 @@ runs:   .word 0
         RegimeSpec::assembly("worker", VICTIM),
     ]);
     let mut k = SeparationKernel::boot(cfg).unwrap();
-    k.run(400);
+    let steps = (0..400)
+        .position(|_| k.step() == KernelEvent::Restarted { regime: 0 })
+        .expect("the crasher restarts");
+    // Re-imaging shares the boot page itself; nothing is copied until the
+    // regime stores again.
+    let base = k.regimes[0].partition_base;
+    assert!(Arc::ptr_eq(
+        k.machine.mem.page(base),
+        &k.regimes[0].boot_image
+    ));
+    k.run(400 - steps as u64 - 1);
     // Two lives (boot + one restart), each incremented `runs` once — but
     // re-imaging erased the first life's increment, so exactly 1 survives.
     assert_eq!(partition_word(&k, 0, crasher, "runs"), 1);

@@ -23,7 +23,9 @@ use sep_kernel::fault;
 use sep_kernel::kernel::{KernelEvent, SeparationKernel};
 use sep_kernel::regime::{FaultPolicy, PARTITION_SIZE};
 use sep_kernel::verify::{distinct_ram_buffers, CheckerSelect, KernelSystem};
+use sep_machine::{IO_BASE, PAGE_SIZE};
 use sep_obs::RunReport;
+use std::sync::Arc;
 
 const COUNTER: &str = "
 start:  INC counter
@@ -270,6 +272,25 @@ fn memory_writing_states_copy_their_ram() {
         distinct_ram_buffers(&states) >= 2,
         "the counter store must copy RAM out of the shared buffer"
     );
+    // Stores land in regime partitions only, and copy only their page:
+    // every other page of every state is still the template's.
+    let template = &sys.template.machine.mem;
+    let partitions: Vec<u32> = sys
+        .template
+        .regimes
+        .iter()
+        .map(|r| r.partition_base)
+        .collect();
+    for s in &states {
+        for base in (0..IO_BASE).step_by(PAGE_SIZE as usize) {
+            if !partitions.contains(&base) {
+                assert!(
+                    Arc::ptr_eq(s.kernel.machine.mem.page(base), template.page(base)),
+                    "{s:?} copied the untouched page at {base:o}"
+                );
+            }
+        }
+    }
     let reference = sys.check_with(&CheckerSelect::Sequential);
     assert_eq!(
         sys.check_with(&CheckerSelect::Sharded { shards: 2 }),

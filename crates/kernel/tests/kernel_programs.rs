@@ -159,7 +159,7 @@ buf:    .blkw 8
     assert_eq!(k.stats.messages_sent, 1);
     let buf = assemble(receiver).unwrap().symbol("buf").unwrap();
     let base = k.regimes[1].partition_base + buf as u32;
-    assert_eq!(k.machine.mem.range(base, 4), &[1, 2, 3, 4]);
+    assert_eq!(&*k.machine.mem.range(base, 4), &[1, 2, 3, 4]);
     assert!(matches!(
         k.regimes[1].status,
         RegimeStatus::Faulted(FaultCause::Trap(Trap::Halt))

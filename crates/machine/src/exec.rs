@@ -264,13 +264,27 @@ impl Machine {
                 return Some(Event::DmaBlocked { device });
             }
             match op {
+                // DMA reaches RAM only: bytes addressed at or above the I/O
+                // page are dropped on a write and read back as 0.
                 DmaOp::WriteMem { addr, data } => {
                     for (i, b) in data.iter().enumerate() {
-                        self.mem.write_byte(addr + i as u32, *b);
+                        let a = addr.saturating_add(i as u32);
+                        if !Memory::is_io(a) {
+                            self.mem.write_byte(a, *b);
+                        }
                     }
                 }
                 DmaOp::ReadMem { addr, len } => {
-                    let data: Vec<u8> = (0..len).map(|i| self.mem.read_byte(addr + i)).collect();
+                    let data: Vec<u8> = (0..len)
+                        .map(|i| addr.saturating_add(i))
+                        .map(|a| {
+                            if Memory::is_io(a) {
+                                0
+                            } else {
+                                self.mem.read_byte(a)
+                            }
+                        })
+                        .collect();
                     if let Some(d) = self.devices.get_mut(device) {
                         d.dma_complete(data);
                     }
@@ -513,7 +527,7 @@ impl Machine {
             // the write guard instead). Interior ops never write memory, so
             // a block can never invalidate itself mid-flight.
             if block.validated_batch != sb.batch {
-                if self.mem.range(block.phys, block.image.len() as u32) != &block.image[..] {
+                if *self.mem.range(block.phys, block.image.len() as u32) != block.image[..] {
                     sb.flush(self.mmu.generation(), self.mmu.enabled);
                     self.sb_guard_lo = PhysAddr::MAX;
                     self.sb_guard_hi = 0;

@@ -41,7 +41,7 @@ pub use cpu::Cpu;
 pub use dev::{Device, DeviceSet, InterruptRequest};
 pub use disasm::{disassemble, Listing};
 pub use exec::{Event, Machine, Trap};
-pub use mem::{Memory, IO_BASE, PHYS_SIZE};
+pub use mem::{Memory, Page, IO_BASE, PAGE_SIZE, PHYS_SIZE};
 pub use mmu::{Access, Mmu, MmuAbort, SegmentDescriptor};
 pub use psw::{Mode, Psw};
 pub use types::{PhysAddr, Word};

@@ -7,13 +7,23 @@
 //! "the memory management of a PDP-11 allows device registers to be
 //! protected just like ordinary memory locations."
 //!
-//! RAM is **copy-on-write**: cloning a [`Memory`] shares the parent's
-//! buffer, and the first store into either side copies the whole RAM
-//! once. A checker state that never stores therefore costs no RAM of its
-//! own, and a cloned kernel pays for its memory only when it writes.
+//! RAM is **page-granular copy-on-write**: 31 pages of [`PAGE_SIZE`] bytes,
+//! each its own reference-counted [`Page`]. Cloning a [`Memory`] shares
+//! every page, and the first store into a shared page copies that one page
+//! (8 KiB), never the rest of RAM. A fresh memory shares a single zero page
+//! across all of its slots. A checker state therefore owns only the pages
+//! its history wrote, and a cloned kernel pays for the pages it touches.
+//!
+//! Each page caches its content [`Page::fingerprint`] beside its bytes,
+//! computed on first use and cleared by every store into the page. A kernel
+//! partition is exactly one page, so hashing an unchanged partition is a
+//! cached read, and copying a partition between machines (a restart's
+//! re-imaging, a symmetry rotation, a regime's view of the machine) is a
+//! page swap rather than a byte copy.
 
 use crate::types::{PhysAddr, Word};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// Total physical address space in bytes (18-bit addressing).
 pub const PHYS_SIZE: u32 = 1 << 18;
@@ -21,11 +31,81 @@ pub const PHYS_SIZE: u32 = 1 << 18;
 /// First byte address of the I/O page.
 pub const IO_BASE: u32 = PHYS_SIZE - 8 * 1024;
 
+/// Bytes per RAM page: the unit of copy-on-write sharing and of
+/// fingerprint caching.
+pub const PAGE_SIZE: u32 = 8 * 1024;
+
+/// Number of RAM pages: everything below the I/O page.
+pub const PAGES: usize = (IO_BASE / PAGE_SIZE) as usize;
+
+const _: () = assert!(IO_BASE.is_multiple_of(PAGE_SIZE));
+
+/// The index of the page holding `addr`.
+#[inline(always)]
+fn page_index(addr: PhysAddr) -> usize {
+    (addr / PAGE_SIZE) as usize
+}
+
+/// `addr`'s byte offset within its page.
+#[inline(always)]
+fn page_offset(addr: PhysAddr) -> usize {
+    (addr % PAGE_SIZE) as usize
+}
+
+/// One page of RAM and the cached fingerprint of its contents.
+///
+/// Two pages are equal when they are the same allocation or hold the same
+/// bytes; a page hashes as its fingerprint, which equal bytes share.
+#[derive(Clone)]
+pub struct Page {
+    bytes: [u8; PAGE_SIZE as usize],
+    fp: OnceLock<u64>,
+}
+
+impl Page {
+    /// The content fingerprint of the page, as [`Memory::fingerprint`]
+    /// gives it for the page's range: hashed on first use, then cached
+    /// until the next store into the page.
+    fn fingerprint(&self) -> u64 {
+        *self.fp.get_or_init(|| fingerprint_bytes(&self.bytes))
+    }
+}
+
+impl PartialEq for Page {
+    fn eq(&self, other: &Page) -> bool {
+        if std::ptr::eq(self, other) {
+            return true;
+        }
+        // Cached fingerprints that differ prove the bytes differ.
+        if let (Some(a), Some(b)) = (self.fp.get(), other.fp.get()) {
+            if a != b {
+                return false;
+            }
+        }
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for Page {}
+
+impl std::hash::Hash for Page {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint());
+    }
+}
+
+/// Prints the bytes, as a byte slice prints.
+impl std::fmt::Debug for Page {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.bytes[..].fmt(f)
+    }
+}
+
 /// Physical RAM (the I/O page portion is never stored here), shared
-/// copy-on-write between clones.
+/// copy-on-write between clones one page at a time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Memory {
-    bytes: Arc<[u8]>,
+    pages: [Arc<Page>; PAGES],
 }
 
 impl Default for Memory {
@@ -35,12 +115,15 @@ impl Default for Memory {
 }
 
 impl Memory {
-    /// All-zero RAM covering the full non-I/O physical space.
+    /// All-zero RAM covering the full non-I/O physical space: one zero
+    /// page, shared by every slot until each is first stored to.
     pub fn new() -> Memory {
-        // Collected straight into the shared buffer: one allocation, no
-        // copy through a temporary `Vec`.
+        let zero = Arc::new(Page {
+            bytes: [0; PAGE_SIZE as usize],
+            fp: OnceLock::new(),
+        });
         Memory {
-            bytes: std::iter::repeat_n(0, IO_BASE as usize).collect(),
+            pages: std::array::from_fn(|_| zero.clone()),
         }
     }
 
@@ -49,16 +132,39 @@ impl Memory {
         addr >= IO_BASE
     }
 
-    /// Whether `self` and `other` still share one RAM buffer: neither has
-    /// stored since one was cloned from the other (or from a common
-    /// ancestor).
+    /// Whether `self` and `other` share every page: neither has stored
+    /// since one was cloned from the other (or from a common ancestor).
     pub fn shares_storage_with(&self, other: &Memory) -> bool {
-        Arc::ptr_eq(&self.bytes, &other.bytes)
+        self.pages
+            .iter()
+            .zip(&other.pages)
+            .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
-    /// The RAM for writing, copied out of any shared buffer first.
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        Arc::make_mut(&mut self.bytes)
+    /// The page starting at `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is not page-aligned or not below [`IO_BASE`].
+    pub fn page(&self, base: PhysAddr) -> &Arc<Page> {
+        assert_eq!(page_offset(base), 0, "unaligned page base {base:o}");
+        &self.pages[page_index(base)]
+    }
+
+    /// Replaces the page starting at `base` (same panics as
+    /// [`Memory::page`]): bulk re-imaging shares the new page instead of
+    /// copying its bytes.
+    pub fn set_page(&mut self, base: PhysAddr, page: Arc<Page>) {
+        assert_eq!(page_offset(base), 0, "unaligned page base {base:o}");
+        self.pages[page_index(base)] = page;
+    }
+
+    /// The bytes of the page holding `addr`, for writing: copied out of any
+    /// sharing first, with the page's cached fingerprint cleared.
+    fn page_mut(&mut self, addr: PhysAddr) -> &mut [u8; PAGE_SIZE as usize] {
+        let page = Arc::make_mut(&mut self.pages[page_index(addr)]);
+        page.fp = OnceLock::new();
+        &mut page.bytes
     }
 
     /// Reads a byte of RAM.
@@ -68,35 +174,34 @@ impl Memory {
     /// Panics if `addr` is in the I/O page (the machine must route such
     /// accesses to devices) or beyond physical memory.
     pub fn read_byte(&self, addr: PhysAddr) -> u8 {
-        self.bytes[addr as usize]
+        self.pages[page_index(addr)].bytes[page_offset(addr)]
     }
 
     /// Writes a byte of RAM (same panics as [`Memory::read_byte`]).
     pub fn write_byte(&mut self, addr: PhysAddr, value: u8) {
-        self.bytes_mut()[addr as usize] = value;
+        self.page_mut(addr)[page_offset(addr)] = value;
     }
 
-    /// Reads a little-endian word from an even RAM address.
+    /// Reads a little-endian word from an even RAM address (an even word
+    /// never straddles two pages).
     pub fn read_word(&self, addr: PhysAddr) -> Word {
         debug_assert_eq!(addr & 1, 0, "word access to odd address {addr:o}");
-        u16::from_le_bytes([self.bytes[addr as usize], self.bytes[addr as usize + 1]])
+        let (bytes, o) = (&self.pages[page_index(addr)].bytes, page_offset(addr));
+        u16::from_le_bytes([bytes[o], bytes[o + 1]])
     }
 
     /// Writes a little-endian word to an even RAM address.
     pub fn write_word(&mut self, addr: PhysAddr, value: Word) {
         debug_assert_eq!(addr & 1, 0, "word access to odd address {addr:o}");
-        let a = addr as usize;
-        self.bytes_mut()[a..a + 2].copy_from_slice(&value.to_le_bytes());
+        let o = page_offset(addr);
+        self.page_mut(addr)[o..o + 2].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Copies a slice of words into RAM starting at `addr` (must be even).
     pub fn load_words(&mut self, addr: PhysAddr, words: &[Word]) {
         debug_assert_eq!(addr & 1, 0, "word access to odd address {addr:o}");
-        let a = addr as usize;
-        let dst = &mut self.bytes_mut()[a..a + 2 * words.len()];
-        for (d, w) in dst.chunks_exact_mut(2).zip(words) {
-            d.copy_from_slice(&w.to_le_bytes());
-        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        self.write_range(addr, &bytes);
     }
 
     /// Reads `len` words starting at `addr` (must be even).
@@ -109,22 +214,43 @@ impl Memory {
     /// A 64-bit fingerprint of the *contents* of a physical range (not its
     /// address, so equal partitions at different bases hash alike), used
     /// by state snapshots: a four-lane word-at-a-time hash that mixes every
-    /// byte and the length, and always sees a single flipped bit.
+    /// byte and the length, and always sees a single flipped bit. A whole,
+    /// aligned page answers from its cache.
     pub fn fingerprint(&self, start: PhysAddr, len: u32) -> u64 {
-        fingerprint_bytes(self.range(start, len))
+        if len == PAGE_SIZE && page_offset(start) == 0 {
+            self.page(start).fingerprint()
+        } else {
+            fingerprint_bytes(&self.range(start, len))
+        }
     }
 
-    /// The raw bytes of a physical range (for snapshot equality in the
-    /// verification adapters).
-    pub fn range(&self, start: PhysAddr, len: u32) -> &[u8] {
-        &self.bytes[start as usize..(start + len) as usize]
+    /// The raw bytes of a physical range: borrowed when the range lies
+    /// within one page, copied out when it crosses pages.
+    pub fn range(&self, start: PhysAddr, len: u32) -> Cow<'_, [u8]> {
+        let (o, len) = (page_offset(start), len as usize);
+        if o + len <= PAGE_SIZE as usize {
+            return Cow::Borrowed(&self.pages[page_index(start)].bytes[o..o + len]);
+        }
+        let mut out = Vec::with_capacity(len);
+        let mut addr = start;
+        while out.len() < len {
+            let o = page_offset(addr);
+            let n = (len - out.len()).min(PAGE_SIZE as usize - o);
+            out.extend_from_slice(&self.pages[page_index(addr)].bytes[o..o + n]);
+            addr += n as u32;
+        }
+        Cow::Owned(out)
     }
 
-    /// Overwrites a physical range with `bytes` (bulk re-imaging: restarts,
-    /// partition-content rotation in the symmetry layer).
+    /// Overwrites a physical range with `bytes`, page by page.
     pub fn write_range(&mut self, start: PhysAddr, bytes: &[u8]) {
-        let s = start as usize;
-        self.bytes_mut()[s..s + bytes.len()].copy_from_slice(bytes);
+        let (mut addr, mut rest) = (start, bytes);
+        while !rest.is_empty() {
+            let o = page_offset(addr);
+            let n = rest.len().min(PAGE_SIZE as usize - o);
+            self.page_mut(addr)[o..o + n].copy_from_slice(&rest[..n]);
+            (addr, rest) = (addr + n as u32, &rest[n..]);
+        }
     }
 }
 
@@ -239,6 +365,6 @@ mod tests {
     fn range_returns_bytes() {
         let mut m = Memory::new();
         m.write_byte(10, 0xAB);
-        assert_eq!(m.range(10, 2), &[0xAB, 0]);
+        assert_eq!(&*m.range(10, 2), &[0xAB, 0]);
     }
 }

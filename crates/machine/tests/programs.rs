@@ -1,11 +1,11 @@
 //! End-to-end machine tests: assemble real programs and execute them.
 
 use sep_machine::dev::clock::{LineClock, LKS_IE};
-use sep_machine::dev::dma::{DmaDisk, CSR_GO};
+use sep_machine::dev::dma::{DmaDisk, CSR_GO, CSR_WRITE};
 use sep_machine::dev::serial::SerialLine;
 use sep_machine::mmu::{AbortReason, Access, SegmentDescriptor};
 use sep_machine::psw::Mode;
-use sep_machine::{assemble, Device, Event, Machine, Trap};
+use sep_machine::{assemble, Device, Event, Machine, Trap, IO_BASE};
 
 /// Loads a program at physical/virtual 0 (MMU disabled) and returns the
 /// machine ready to run in user mode.
@@ -318,7 +318,57 @@ fn dma_violates_separation_when_allowed() {
     }
     // One step performs the DMA; program keeps spinning.
     m.step();
-    assert_eq!(m.mem.range(0o1000, 8), b"payload!");
+    assert_eq!(&*m.mem.range(0o1000, 8), b"payload!");
+}
+
+/// A machine with DMA allowed and a disk whose sector 0 holds 16 bytes.
+fn dma_machine() -> (Machine, usize) {
+    let mut m = machine_with("loop: BR loop");
+    m.allow_dma = true;
+    let disk = m.devices.attach(Box::new(DmaDisk::new(0o777440, 0o220)));
+    m.devices
+        .downcast_mut::<DmaDisk>(disk)
+        .unwrap()
+        .host_fill_sector(0, b"0123456789abcdef");
+    (m, disk)
+}
+
+/// Starts an 8-word transfer at an 18-bit physical address.
+fn dma_start(m: &mut Machine, disk: usize, phys: u32, csr: u16) {
+    let d = m.devices.downcast_mut::<DmaDisk>(disk).unwrap();
+    d.write_reg(2, phys as u16);
+    d.write_reg(4, 8);
+    d.write_reg(0, CSR_GO | csr | ((phys >> 16) as u16) << 4);
+}
+
+#[test]
+fn dma_into_the_io_page_touches_no_ram() {
+    let (mut m, disk) = dma_machine();
+    let before = m.mem.clone();
+    dma_start(&mut m, disk, 0o777770, 0);
+    m.step();
+    assert_eq!(
+        m.mem, before,
+        "a transfer wholly in the I/O page stores nothing"
+    );
+    // Memory -> disk from the I/O page reads zeros.
+    dma_start(&mut m, disk, 0o777770, CSR_WRITE);
+    m.step();
+    let d = m.devices.downcast_mut::<DmaDisk>(disk).unwrap();
+    assert_eq!(&d.host_sector(0)[..16], &[0; 16]);
+}
+
+#[test]
+fn dma_straddling_the_io_page_moves_only_its_ram_half() {
+    let (mut m, disk) = dma_machine();
+    dma_start(&mut m, disk, IO_BASE - 8, 0);
+    m.step();
+    assert_eq!(&*m.mem.range(IO_BASE - 8, 8), b"01234567");
+    // Back to the disk: the RAM half, then zeros for the I/O half.
+    dma_start(&mut m, disk, IO_BASE - 8, CSR_WRITE);
+    m.step();
+    let d = m.devices.downcast_mut::<DmaDisk>(disk).unwrap();
+    assert_eq!(&d.host_sector(0)[..16], b"01234567\0\0\0\0\0\0\0\0");
 }
 
 #[test]

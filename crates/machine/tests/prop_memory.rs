@@ -1,13 +1,18 @@
-//! Property tests for copy-on-write RAM and the partition fingerprint.
+//! Property tests for page-granular copy-on-write RAM and the cached page
+//! fingerprint.
 //!
-//! A cloned [`Memory`] shares its parent's buffer until either side
-//! stores. Random interleavings of every mutator on a clone and on its
-//! original must leave each side byte-equal to an independent `Vec<u8>`
-//! model, fingerprinting like a fresh unshared copy of that model, and
-//! sharing storage exactly while neither side has stored since the fork.
+//! A cloned [`Memory`] shares its parent's pages until either side stores.
+//! Random interleavings of every mutator and of fingerprint reads (which
+//! fill the per-page cache) on a clone and on its original must leave each
+//! side byte-equal to an independent `Vec<u8>` model, fingerprinting like a
+//! fresh unshared copy of that model, and sharing storage exactly while
+//! neither side has stored since the fork. Writes are drawn to straddle
+//! page boundaries, so a store that misses a page's cache shows up.
 
-use sep_machine::{Memory, IO_BASE};
+use sep_machine::mem::PAGES;
+use sep_machine::{Memory, IO_BASE, PAGE_SIZE};
 use sep_model::prop::{check, Gen};
+use std::sync::Arc;
 
 /// One mutator call, on the original (`false`) or the clone (`true`).
 #[derive(Debug, Clone)]
@@ -16,20 +21,29 @@ enum Op {
     Word(bool, u32, u16),
     Range(bool, u32, Vec<u8>),
     Words(bool, u32, Vec<u16>),
+    /// Fingerprint `len` bytes at an address: a whole page (filling its
+    /// cache) or any range, possibly crossing pages.
+    Fp(bool, u32, u32),
     /// Re-fork: the clone becomes a fresh clone of the original.
     Fork,
 }
 
 /// Addresses cluster in a 16 KiB window so the two sides keep writing the
-/// same bytes; one draw in eight lands anywhere in RAM.
+/// same bytes; one draw in four ends just past a page boundary, so the
+/// write straddles it; one in eight lands anywhere in RAM.
 fn addr(g: &mut Gen, room: u32) -> u32 {
-    let top = if g.int(0..8u8) == 0 { IO_BASE } else { 0o40000 };
-    g.int(0..top - room)
+    match g.int(0..8u8) {
+        0 => g.int(0..IO_BASE - room),
+        1..=2 => (PAGE_SIZE * g.int(1..PAGES as u32))
+            .saturating_sub(g.int(1..=room))
+            .min(IO_BASE - room),
+        _ => g.int(0..0o40000 - room),
+    }
 }
 
 fn op(g: &mut Gen) -> Op {
     let side = g.bool();
-    match g.int(0..9u8) {
+    match g.int(0..12u8) {
         0..=1 => Op::Byte(side, addr(g, 1), g.int(..)),
         2..=3 => Op::Word(side, addr(g, 2) & !1, g.int(..)),
         4..=5 => {
@@ -40,6 +54,11 @@ fn op(g: &mut Gen) -> Op {
             let words = g.vec(1..24, |g| g.int(..));
             Op::Words(side, addr(g, 2 * words.len() as u32) & !1, words)
         }
+        8..=9 => Op::Fp(side, PAGE_SIZE * g.int(0..2), PAGE_SIZE),
+        10 => {
+            let len = g.int(0..2 * PAGE_SIZE);
+            Op::Fp(side, addr(g, len.max(1)), len)
+        }
         _ => Op::Fork,
     }
 }
@@ -49,6 +68,14 @@ fn fresh(model: &[u8]) -> Memory {
     let mut m = Memory::new();
     m.write_range(0, model);
     m
+}
+
+/// The fingerprint of `bytes` copied to a fresh memory at an odd address,
+/// where it is hashed from the bytes, never from a page's cache.
+fn reference_fp(bytes: &[u8]) -> u64 {
+    let mut m = Memory::new();
+    m.write_range(1, bytes);
+    m.fingerprint(1, bytes.len() as u32)
 }
 
 fn apply(m: &mut Memory, model: &mut [u8], op: &Op) {
@@ -72,7 +99,20 @@ fn apply(m: &mut Memory, model: &mut [u8], op: &Op) {
                 model[at..at + 2].copy_from_slice(&w.to_le_bytes());
             }
         }
+        Op::Fp(_, a, len) => {
+            let (a, len) = (*a, *len);
+            let bytes = &model[a as usize..(a + len) as usize];
+            assert_eq!(m.fingerprint(a, len), reference_fp(bytes), "{len} at {a:o}");
+        }
         Op::Fork => unreachable!("forks are handled by the driver"),
+    }
+}
+
+fn side(op: &Op) -> bool {
+    match op {
+        Op::Byte(s, ..) | Op::Word(s, ..) | Op::Range(s, ..) | Op::Words(s, ..) => *s,
+        Op::Fp(s, ..) => *s,
+        Op::Fork => unreachable!("forks have no side"),
     }
 }
 
@@ -103,36 +143,33 @@ fn clones_are_isolated_from_their_original() {
                         copy_model.clone_from(&orig_model);
                         shared = true;
                     }
-                    Op::Byte(false, ..)
-                    | Op::Word(false, ..)
-                    | Op::Range(false, ..)
-                    | Op::Words(false, ..) => apply(&mut orig, &mut orig_model, o),
-                    _ => apply(&mut copy, &mut copy_model, o),
+                    o if side(o) => apply(&mut copy, &mut copy_model, o),
+                    o => apply(&mut orig, &mut orig_model, o),
                 }
-                if !matches!(o, Op::Fork) {
+                if !matches!(o, Op::Fork | Op::Fp(..)) {
                     shared = false;
                 }
                 assert_eq!(orig.shares_storage_with(&copy), shared, "after {o:?}");
                 assert!(
-                    orig.range(0, IO_BASE) == &orig_model[..],
+                    *orig.range(0, IO_BASE) == orig_model[..],
                     "original after {o:?}"
                 );
                 assert!(
-                    copy.range(0, IO_BASE) == &copy_model[..],
+                    *copy.range(0, IO_BASE) == copy_model[..],
                     "clone after {o:?}"
                 );
             }
-            // Fingerprints agree with fresh unshared copies of the models,
-            // over the 8 KiB partitions the kernel hashes.
+            // Every page fingerprints like a fresh unshared copy of the
+            // model, whatever the caches held along the way.
             let (orig_ref, copy_ref) = (fresh(&orig_model), fresh(&copy_model));
-            for base in (0..0o40000).step_by(0o20000) {
+            for base in (0..IO_BASE).step_by(PAGE_SIZE as usize) {
                 assert_eq!(
-                    orig.fingerprint(base, 0o20000),
-                    orig_ref.fingerprint(base, 0o20000)
+                    orig.fingerprint(base, PAGE_SIZE),
+                    orig_ref.fingerprint(base, PAGE_SIZE)
                 );
                 assert_eq!(
-                    copy.fingerprint(base, 0o20000),
-                    copy_ref.fingerprint(base, 0o20000)
+                    copy.fingerprint(base, PAGE_SIZE),
+                    copy_ref.fingerprint(base, PAGE_SIZE)
                 );
             }
         },
@@ -158,27 +195,82 @@ fn a_clone_shares_until_the_first_store() {
 }
 
 #[test]
-fn every_single_bit_flip_in_a_partition_changes_its_fingerprint() {
-    const BASE: u32 = 0o20000;
-    const LEN: u32 = 0o20000;
+fn a_store_copies_only_the_page_it_touches() {
+    let fresh = Memory::new();
+    for base in (0..IO_BASE).step_by(PAGE_SIZE as usize) {
+        assert!(
+            Arc::ptr_eq(fresh.page(base), fresh.page(0)),
+            "one zero page fills every slot"
+        );
+    }
+    let mut m = fresh.clone();
+    m.write_word(3 * PAGE_SIZE + 6, 1);
+    for base in (0..IO_BASE).step_by(PAGE_SIZE as usize) {
+        assert_eq!(
+            Arc::ptr_eq(m.page(base), fresh.page(base)),
+            base != 3 * PAGE_SIZE,
+            "page at {base:o}"
+        );
+    }
+}
+
+#[test]
+fn writes_straddling_every_page_boundary_refresh_both_caches() {
+    let mut m = Memory::new();
+    let mut model = vec![0u8; IO_BASE as usize];
+    let check = |m: &Memory, model: &[u8], edge: u32| {
+        for base in [edge - PAGE_SIZE, edge] {
+            let page = &model[base as usize..(base + PAGE_SIZE) as usize];
+            assert_eq!(
+                m.fingerprint(base, PAGE_SIZE),
+                reference_fp(page),
+                "{base:o}"
+            );
+        }
+        let across = &model[edge as usize - 100..edge as usize + 100];
+        assert_eq!(m.fingerprint(edge - 100, 200), reference_fp(across));
+        assert!(*m.range(edge - 100, 200) == *across);
+    };
+    for edge in (PAGE_SIZE..IO_BASE).step_by(PAGE_SIZE as usize) {
+        // Both neighbours' fingerprints are cached before every store.
+        check(&m, &model, edge);
+        let bytes = [edge as u8, 1, 2, 3, 4];
+        m.write_range(edge - 3, &bytes);
+        model[edge as usize - 3..edge as usize + 2].copy_from_slice(&bytes);
+        check(&m, &model, edge);
+        let words = [edge as u16, 0o177777, 0o123456, 7];
+        m.load_words(edge - 4, &words);
+        for (i, w) in words.iter().enumerate() {
+            let at = edge as usize - 4 + 2 * i;
+            model[at..at + 2].copy_from_slice(&w.to_le_bytes());
+        }
+        check(&m, &model, edge);
+    }
+}
+
+#[test]
+fn every_single_bit_flip_in_two_adjacent_pages_changes_its_fingerprint() {
+    // A flip in either page changes that page's fingerprint and leaves the
+    // neighbour's cached one alone; restoring the byte restores it.
+    const BASE: u32 = PAGE_SIZE;
     let mut g = Gen::new(0xF11F);
     let mut m = Memory::new();
-    let content: Vec<u8> = (0..LEN).map(|_| g.int(..)).collect();
+    let content: Vec<u8> = (0..2 * PAGE_SIZE).map(|_| g.int(..)).collect();
     m.write_range(BASE, &content);
-    let clean = m.fingerprint(BASE, LEN);
-    for at in BASE..BASE + LEN {
+    let fps = |m: &Memory| [0, 1].map(|p| m.fingerprint(BASE + p * PAGE_SIZE, PAGE_SIZE));
+    let clean = fps(&m);
+    for at in BASE..BASE + 2 * PAGE_SIZE {
+        let page = ((at - BASE) / PAGE_SIZE) as usize;
         let b = m.read_byte(at);
         for bit in 0..8 {
             m.write_byte(at, b ^ (1 << bit));
-            assert_ne!(
-                m.fingerprint(BASE, LEN),
-                clean,
-                "flip of bit {bit} at {at:o}"
-            );
+            let now = fps(&m);
+            assert_ne!(now[page], clean[page], "flip of bit {bit} at {at:o}");
+            assert_eq!(now[1 - page], clean[1 - page], "neighbour of {at:o}");
         }
         m.write_byte(at, b);
+        assert_eq!(fps(&m), clean, "restored {at:o}");
     }
-    assert_eq!(m.fingerprint(BASE, LEN), clean);
 }
 
 #[test]

@@ -44,7 +44,7 @@ pub trait Abstraction<S: SharedSystem> {
     ///
     /// The default materialises both views and compares them. Abstractions
     /// whose views are expensive to build (the kernel's
-    /// `RegimeProjection` clones an 8 KiB partition) can override this with
+    /// `RegimeProjection` snapshots registers, devices and queues) can override this with
     /// an in-place comparison; any override **must** agree exactly with
     /// `self.phi(sys, s1) == self.phi(sys, s2)` — the parallel checker
     /// relies on that agreement to stay verdict-identical to the

@@ -77,6 +77,40 @@ echo "    bystander byte-identity, zero duplicate commits, goodput recovery)"
 cargo run -q --release -p sep-bench --bin e12_crash_recovery > /dev/null
 test -s BENCH_obs_e12_crash_recovery.json
 
+echo "==> perf trajectory (every row parses; the newest row names exactly"
+echo "    BENCHMARK.json's workloads and end-to-end metrics; numbers never gated)"
+python3 - <<'PY'
+import json
+
+bench = json.load(open("BENCHMARK.json"))
+workloads = {w["name"] for w in bench["workloads"]}
+metrics = {m["name"] for m in bench["end_to_end"]}
+rows = []
+for n, line in enumerate(open("BENCH_trajectory.jsonl"), 1):
+    try:
+        row = json.loads(line)
+    except ValueError as e:
+        raise SystemExit(f"BENCH_trajectory.jsonl:{n}: {e}")
+    for key in ("pr", "parent", "nproc", "workloads", "pos_check_sim"):
+        if key not in row:
+            raise SystemExit(f"BENCH_trajectory.jsonl:{n}: no {key!r}")
+    rows.append(row)
+if not rows:
+    raise SystemExit("BENCH_trajectory.jsonl is empty")
+prs = [r["pr"] for r in rows]
+if prs != sorted(set(prs)):
+    raise SystemExit(f"BENCH_trajectory.jsonl: PR numbers not increasing: {prs}")
+newest = rows[-1]["workloads"]
+if set(newest) != workloads:
+    raise SystemExit(f"newest row's workloads {sorted(newest)} != {sorted(workloads)}")
+for w, values in newest.items():
+    if set(values) != metrics:
+        raise SystemExit(f"newest row, {w}: metrics {sorted(values)} != {sorted(metrics)}")
+    for m, v in values.items():
+        if not isinstance(v, (int, float)):
+            raise SystemExit(f"newest row, {w}.{m}: {v!r} is not a number")
+PY
+
 echo "==> benchmark smoke tests (every workload at a tiny size, every metric declared)"
 cargo test --release --offline --manifest-path layerbench/Cargo.toml
 
