@@ -10,7 +10,7 @@
 //! the table is differential evidence, not just a benchmark. The binary aborts (and CI fails) if any
 //! reduction changes a verdict. The machine-readable report
 //! (`BENCH_obs_e2_pos_verify.json`) keeps the deterministic sections
-//! (counts, verdicts, shard ownership, reduction counters) apart from
+//! (counts, verdicts, per-worker counters, reduction counters) apart from
 //! wall-clock timing.
 
 use sep_bench::{
@@ -107,21 +107,22 @@ fn main() {
                 .wall_ms(&format!("{run}_reference"), seq_ms)
                 .wall_ms(&format!("{run}_production"), par_ms)
                 .wall(&format!("{run}_reference_over_production"), seq_ms / par_ms);
-            // Per-shard throughput: states owned by each shard over the
-            // sharded wall time. Machine-dependent, so it lives in `wall`.
-            for (i, sh) in stats.per_shard.iter().enumerate() {
-                report = report.wall(
-                    &format!("{run}_shard{i}_states_per_sec"),
-                    sh.owned as f64 / (par_ms / 1000.0),
-                );
-            }
+            // Where the production checker's time goes: exploration timed
+            // in a run of its own, and the six conditions as the rest of
+            // the check. The two times come from separate runs, so the
+            // difference is clamped at zero against timing noise.
+            // Machine-dependent, so it lives in `wall`.
+            let (_, explore_ms) = timed(|| sys.explore_sharded(SHARDS));
+            report = report
+                .wall_ms(&format!("{run}_explore"), explore_ms)
+                .wall_ms(&format!("{run}_cond"), (par_ms - explore_ms).max(0.0));
         }
     }
 
     // ------------------------------------------------------------------
     // The reduction sweep: states explored vs regime count, for each
-    // reduction on/off. Exploration-only (condition checking costs ~400
-    // states/s and adds nothing to a state-count comparison); verdict
+    // reduction on/off. Exploration-only (condition checking is most of a
+    // check's time and adds nothing to a state-count comparison); verdict
     // equality is pinned separately below on checkable sizes.
     // ------------------------------------------------------------------
     println!("\n## state-space reduction (symmetric workload, exploration only)\n");
@@ -170,8 +171,8 @@ fn main() {
             top_n = n;
         }
         // Bloom pre-filter on the same space: identical state count (the
-        // filter only short-circuits definite-novelty probes), counters in
-        // the stats.
+        // filter never changes which states are admitted), counters in the
+        // stats.
         let sys = symmetric_system(n, true, true, true);
         let (bloom_states, bloom_stats) = sys.explore_sharded(SHARDS);
         assert_eq!(

@@ -136,7 +136,7 @@ start:  TRAP 0
 /// A checker run as deterministic JSON for a `BENCH_obs_*.json` report:
 /// the state/op/input counts, per-condition check counters, verdict, the
 /// violated conditions, and (for sharded runs) the exploration statistics
-/// including per-shard ownership and reduction counters. Contains no
+/// including per-worker counters and reduction counters. Contains no
 /// wall-clock values, so identical runs serialize to identical bytes.
 pub fn checker_run_json(report: &CheckReport, stats: Option<&ExploreStats>) -> Json {
     let mut j = Json::obj()

@@ -654,7 +654,7 @@ pub enum CheckerSelect {
     /// The frontier-sharded checker with `shards` worker threads: the
     /// production path, reduced as the knobs select.
     Sharded {
-        /// Worker/owner thread pairs.
+        /// Worker threads.
         shards: usize,
     },
 }
@@ -666,7 +666,7 @@ impl KernelSystem {
     }
 
     /// Like [`KernelSystem::check_with`], additionally returning the
-    /// exploration statistics (frontier depth, per-shard ownership,
+    /// exploration statistics (frontier depth, per-worker counters,
     /// reduction counters) when the sharded checker ran.
     pub fn check_with_stats(&self, sel: &CheckerSelect) -> (CheckReport, Option<ExploreStats>) {
         let abstractions = self.abstractions();

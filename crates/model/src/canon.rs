@@ -8,13 +8,12 @@
 //!
 //! * **`canon`** maps a state to the 128-bit key of its *orbit
 //!   representative* under a symmetry group of the system (for the kernel:
-//!   rotations of identical-image regimes). Dedup and hash-ownership
-//!   routing both key on the canonical fingerprint, so an orbit is
-//!   explored once no matter which member is reached first. The first
-//!   member discovered (in deterministic BFS order) *is* the
-//!   representative kept — canonicalization changes only the key, never
-//!   the stored state, so every check still runs on a genuinely reachable
-//!   state.
+//!   rotations of identical-image regimes). Dedup keys on the canonical
+//!   fingerprint, so an orbit is explored once no matter which member is
+//!   reached first. The first member discovered (in deterministic BFS
+//!   order) *is* the representative kept — canonicalization changes only
+//!   the key, never the stored state, so every check still runs on a
+//!   genuinely reachable state.
 //! * **`ample`** picks, per state, a subset of the input alphabet to
 //!   expand (a partial-order *ample set*). Deferred inputs must commute
 //!   with every expanded transition and remain enabled — the provider
@@ -50,7 +49,15 @@ impl Ample {
         match self {
             Ample::All => (0..n).collect(),
             Ample::Subset(idx) if idx.is_empty() => (0..n).collect(),
-            Ample::Subset(idx) => idx.clone(),
+            Ample::Subset(idx) => {
+                // The explorer commits successors in the order given here,
+                // so an unsorted subset would reorder BFS discovery.
+                debug_assert!(
+                    idx.windows(2).all(|w| w[0] < w[1]),
+                    "ample subset not strictly ascending: {idx:?}"
+                );
+                idx.clone()
+            }
         }
     }
 }
@@ -68,10 +75,10 @@ pub struct ReductionStats {
     /// Successor expansions skipped by ample sets: sum over expanded
     /// states of `|alphabet| - |ample|`.
     pub ample_skips: u64,
-    /// Bloom pre-filter said "definitely new": precise-probe work avoided.
+    /// Novel keys the Bloom filter answered "definitely new" for.
     pub bloom_negatives: u64,
-    /// Bloom said "maybe seen" but the precise set proved the key novel:
-    /// the filter's only cost, and never a soundness issue.
+    /// Novel keys the Bloom filter answered "maybe seen" for: false
+    /// positives, never a soundness issue.
     pub bloom_false_positives: u64,
 }
 

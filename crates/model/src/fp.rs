@@ -5,9 +5,8 @@
 //! hashes, each finalized through a [`SplitMix64`] round so related inputs
 //! do not produce related keys. Fingerprints are deterministic across
 //! threads and shard counts — the same state always fingerprints to the
-//! same value — which is what lets the sharded checker route hash
-//! ownership and keep its seen-sets as 16-byte keys instead of whole
-//! states.
+//! same value — which is what lets the sharded checker keep its seen-set
+//! as 16-byte keys instead of whole states.
 //!
 //! A fingerprint collision (two distinct reachable states with the same
 //! 128 bits) would merge two states silently. With two independent 64-bit
@@ -31,12 +30,11 @@ pub enum Dedup {
     /// default.
     #[default]
     Fingerprint,
-    /// Fingerprint dedup with a Bloom pre-filter in front of the precise
-    /// seen-set. The Bloom filter answers "definitely new" without probing
-    /// the precise set; a "maybe seen" falls through to the precise probe,
-    /// so the filter never changes which states are admitted — only how
-    /// many precise probes a sweep pays for. False positives are counted
-    /// in [`crate::canon::ReductionStats`].
+    /// Fingerprint dedup with a Bloom filter beside the precise seen-set.
+    /// The explorer commits every candidate into the precise set, so the
+    /// filter never changes which states are admitted; for each novel key
+    /// it counts the filter's answer ("definitely new" or a false "maybe
+    /// seen") in [`crate::canon::ReductionStats`].
     Bloom(BloomParams),
 }
 

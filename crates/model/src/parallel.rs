@@ -5,23 +5,26 @@
 //! to [`crate::check::SeparabilityChecker`]'s over the reference explorer
 //! [`crate::explore::reachable_states`] — same states, same per-condition
 //! check counts, same violations in the same order with the same witness
-//! text — for every shard count, whenever no reduction is installed.
+//! text — for every worker count, whenever no reduction is installed.
 //! Determinism is engineered, not hoped for:
 //!
-//! * **Exploration** is level-synchronised BFS. The frontier is sharded by
-//!   state hash across N expander threads; successors are routed over
-//!   channels to the N *owner* threads of their own hash shard (each state
-//!   has exactly one owning seen-shard, so no two threads ever disagree
-//!   about whether it is new). Every successor carries a `(parent, input)`
-//!   tag, and the merge replays survivors in tag order — exactly the
-//!   discovery order of the reference explorer, including its truncation
-//!   rule (checked before each parent expands).
-//! * **Condition checking** fans each phase out over worker threads that
-//!   emit violation *candidates* keyed by their position in the sequential
-//!   checker's encounter order `(abstraction, phase, major, minor)`. The
-//!   merge sorts candidates by key and replays them through the global
-//!   per-condition cap, reproducing the sequential violation list bit for
-//!   bit. Check counts are order-independent sums.
+//! * **Exploration** is level-synchronised BFS. Each level's frontier is
+//!   cut into contiguous chunks, one per worker; a worker computes the
+//!   successors of its own parents and their seen-set keys. The chunk
+//!   outputs concatenate in `(parent, input)` order, so the calling thread
+//!   commits them in that order into one seen-set — exactly the discovery
+//!   order of the reference explorer, including its truncation rule
+//!   (checked before each parent's successors commit).
+//! * **Condition checking** runs in two sweeps over the states: the first
+//!   computes every per-state fact the conditions read, the second checks
+//!   conditions 1–6 per state. Workers emit violation *candidates* keyed by
+//!   their position in the sequential checker's encounter order
+//!   `(abstraction, phase, major, minor)`. The merge sorts candidates by
+//!   key and replays them through the global per-condition cap, reproducing
+//!   the sequential violation list bit for bit. Check counts are
+//!   order-independent sums.
+//!
+//! [`par_chunks`] is the only place in this module that spawns threads.
 //!
 //! The sharded checker is also *algorithmically* cheaper than the
 //! sequential one: each `(state, op)` successor and each `(state, input)`
@@ -35,13 +38,13 @@
 //!
 //! This is the only explorer that reduces: the symmetry and partial-order
 //! hooks of [`crate::canon`] and the Bloom pre-filter of [`Dedup::Bloom`]
-//! apply here and nowhere else. Seen-sets hold 128-bit state
-//! **fingerprints** ([`crate::fp`]): ownership routing and dedup work on
-//! 16-byte keys computed once per successor, so exploration memory scales
-//! with key count rather than state size. Fingerprint membership is
-//! probabilistic only in the cryptographic sense (a collision of two
-//! independently-seeded 64-bit hashes); the differential suites pin the
-//! unreduced sharded explorer to the exact-dedup reference.
+//! apply here and nowhere else. The seen-set holds 128-bit state
+//! **fingerprints** ([`crate::fp`]) computed once per successor, so
+//! exploration memory scales with key count rather than state size.
+//! Fingerprint membership is probabilistic only in the cryptographic sense
+//! (a collision of two independently-seeded 64-bit hashes); the
+//! differential suites pin the unreduced sharded explorer to the
+//! exact-dedup reference.
 
 use crate::abstraction::Abstraction;
 use crate::canon::{Reduction, ReductionStats};
@@ -50,16 +53,6 @@ use crate::fp::{fingerprint, Bloom, Dedup};
 use crate::system::{Finite, Projected, SharedSystem};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::mpsc;
-
-/// `(parent position in frontier, input index)`: the discovery tag that
-/// totally orders a level's successor candidates into sequential BFS order.
-type Tag = (usize, usize);
-
-/// A successor candidate in flight: discovery tag, the state's 128-bit
-/// key (computed once, at expansion, and reused for routing and dedup), and
-/// the state itself.
-type Cand<T> = (Tag, u128, T);
 
 /// `(abstraction, phase, major, minor)`: a candidate violation's position
 /// in the sequential checker's encounter order. Phases: 0 = conditions 1/2
@@ -68,36 +61,46 @@ type Cand<T> = (Tag, u128, T);
 /// (state).
 type Key = (usize, u8, usize, usize);
 
-/// Deterministic shard ownership: key → shard. Equal states have equal
-/// keys, so every distinct state has exactly one owner.
-#[inline]
-fn shard_of(fp: u128, shards: usize) -> usize {
-    (fp % shards as u128) as usize
+/// One parent's successors: `(seen-set key, state)` per expanded input, in
+/// input order.
+type Successors<T> = Vec<(u128, T)>;
+
+/// [`par_chunks`] runs inline, on the calling thread, below this many
+/// items: a thread spawn costs more than a few states' work.
+const SPAWN_THRESHOLD: usize = 8;
+
+/// Whether [`par_chunks`] spawns threads for `len` items on `workers`.
+fn spawns(workers: usize, len: usize) -> bool {
+    workers > 1 && len >= SPAWN_THRESHOLD
 }
 
-/// Per-shard exploration counters.
+/// Per-worker exploration counters. Worker `w` expands the `w`-th
+/// contiguous chunk of every level's frontier; only parents that were
+/// committed before any truncation count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// States this shard owns in the seen-set (committed discoveries).
+    /// Discovered states whose seen-set key is `w` modulo the worker count:
+    /// how evenly the key space splits, whichever worker found the state.
+    /// Nothing routes on it.
     pub owned: usize,
-    /// Frontier states this shard expanded.
+    /// Frontier states this worker expanded.
     pub expanded: usize,
-    /// Successor candidates routed to this shard for dedup.
+    /// Successor candidates this worker produced.
     pub routed: usize,
 }
 
 /// Aggregate exploration statistics from a sharded BFS.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreStats {
-    /// Number of shards (worker/owner thread pairs).
+    /// Number of worker threads.
     pub shards: usize,
     /// Total states discovered.
     pub states: usize,
     /// BFS levels processed.
     pub levels: usize,
-    /// Levels whose expansion and dedup ran on worker threads. Levels with
-    /// fewer than `shards * 8` successor candidates (and every level at one
-    /// shard) run inline; this counter proves the threaded path engaged.
+    /// Levels whose expansion ran on worker threads: at more than one
+    /// worker, those at least 8 parents wide. This counter proves the
+    /// threaded path engaged.
     pub threaded_levels: usize,
     /// Widest frontier seen.
     pub max_frontier: usize,
@@ -106,50 +109,13 @@ pub struct ExploreStats {
     /// Seen-set key bytes (16 per state) — the footprint a full-state
     /// seen-set would instead spend on whole resident states.
     pub fp_bytes: u64,
-    /// State-space reduction counters (symmetry, ample sets, Bloom). The
-    /// sums are shard-count-invariant: within a level each distinct key is
-    /// examined exactly once, by its owner shard, against a Bloom filter
-    /// frozen at the level boundary.
+    /// State-space reduction counters (symmetry, ample sets, Bloom), over
+    /// the committed parents. The sums are worker-count-invariant: every
+    /// candidate is committed in the same order at every worker count, and
+    /// the Bloom filter grows only at commit.
     pub reduction: ReductionStats,
-    /// Per-shard counters, indexed by shard.
+    /// Per-worker counters, indexed by worker.
     pub per_shard: Vec<ShardStats>,
-}
-
-/// Keeps the first (minimum-tag) occurrence of each distinct key, then
-/// drops everything the owning shard has already seen, preserving tag
-/// order.
-///
-/// When a Bloom pre-filter is supplied (read-only during this per-level
-/// pass; it is grown only at the single-threaded merge), a "definitely
-/// absent" answer skips the precise probe, and the candidate is novel by
-/// construction, since every committed key was inserted into the filter.
-/// Returns the novel candidates plus the (shard-count-invariant) Bloom
-/// negative / false-positive counts.
-fn dedup_candidates<T>(
-    seen: &HashSet<u128>,
-    bloom: Option<&Bloom>,
-    mut cands: Vec<Cand<T>>,
-) -> (Vec<Cand<T>>, u64, u64) {
-    cands.sort_by_key(|(tag, _, _)| *tag);
-    let mut firsts: HashSet<u128> = HashSet::with_capacity(cands.len());
-    let (mut negatives, mut false_positives) = (0u64, 0u64);
-    cands.retain(|(_, key, _)| {
-        if !firsts.insert(*key) {
-            return false;
-        }
-        match bloom {
-            Some(filter) if !filter.may_contain(*key) => {
-                negatives += 1;
-                true
-            }
-            Some(_) if !seen.contains(key) => {
-                false_positives += 1;
-                true
-            }
-            _ => !seen.contains(key),
-        }
-    });
-    (cands, negatives, false_positives)
 }
 
 /// The seen-set key of a state: its orbit key under a canon hook, its own
@@ -162,78 +128,15 @@ fn key_of<S: SharedSystem + ?Sized>(reduction: &Reduction<S>, s: &S::State) -> u
     }
 }
 
-/// The input indices to expand at frontier position `p`: the ample list
-/// when an ample hook chose one, the whole alphabet (`all`) otherwise.
-#[inline]
-fn expansion<'a>(all: &'a [usize], lists: Option<&'a [Vec<usize>]>, p: usize) -> &'a [usize] {
-    lists.map_or(all, |l| l[p].as_slice())
-}
-
-/// Expands one frontier level on `shards` worker threads, routing each
-/// successor over a channel to its owner shard. Returns per-owner candidate
-/// lists (arrival order; the dedup pass re-sorts by tag).
-///
-/// `lists` (when present) holds the ample input indices per frontier
-/// state; candidates keep their *original* input index as the tag, so
-/// under an ample-set reduction the merged order stays a subsequence of
-/// the unreduced discovery order.
-fn expand_level<S>(
-    sys: &S,
-    frontier: &[S::State],
-    inputs: &[S::Input],
-    all: &[usize],
-    lists: Option<&[Vec<usize>]>,
-    reduction: &Reduction<S>,
-    shards: usize,
-) -> Vec<Vec<Cand<S::State>>>
-where
-    S: SharedSystem + Sync,
-    S::State: Send + Sync,
-    S::Input: Sync,
-{
-    let mut senders = Vec::with_capacity(shards);
-    let mut receivers = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = mpsc::channel::<Cand<S::State>>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    std::thread::scope(|scope| {
-        let owners: Vec<_> = receivers
-            .into_iter()
-            .map(|rx| scope.spawn(move || rx.into_iter().collect::<Vec<Cand<S::State>>>()))
-            .collect();
-        for w in 0..shards {
-            let senders = senders.clone();
-            scope.spawn(move || {
-                // Round-robin expansion assignment, matching the
-                // `expanded` counters.
-                for (p, s) in frontier.iter().enumerate().skip(w).step_by(shards) {
-                    for &i_idx in expansion(all, lists, p) {
-                        let (_, next) = sys.step(s, &inputs[i_idx]);
-                        let key = key_of(reduction, &next);
-                        let _ = senders[shard_of(key, shards)].send(((p, i_idx), key, next));
-                    }
-                }
-            });
-        }
-        drop(senders);
-        owners
-            .into_iter()
-            .map(|h| h.join().expect("owner thread panicked"))
-            .collect()
-    })
-}
-
-/// Frontier-sharded BFS with the discovery order and truncation semantics
-/// of [`crate::explore::reachable_states`], under a seen-set policy
+/// Sharded BFS with the discovery order and truncation semantics of
+/// [`crate::explore::reachable_states`], under a seen-set policy
 /// (optionally a Bloom pre-filter) and threaded through the state-space
 /// reduction hooks of [`crate::canon`]. Returns the explored states and
 /// the full exploration statistics (including [`ReductionStats`]).
 ///
 /// With `Reduction::none()` this returns exactly the reference states for
-/// either policy and every shard count; the shard-invariance of the output
-/// and the stats projection is pinned by `explore_determinism`.
+/// either policy and every worker count; the worker-invariance of the
+/// output and the stats projection is pinned by `explore_determinism`.
 pub fn par_explore<S>(
     sys: &S,
     initial: &[S::State],
@@ -250,7 +153,7 @@ where
 {
     let shards = shards.max(1);
     let mut bloom = dedup.bloom_params().map(Bloom::new);
-    let mut seen: Vec<HashSet<u128>> = vec![HashSet::new(); shards];
+    let mut seen: HashSet<u128> = HashSet::new();
     let mut stats = ExploreStats {
         shards,
         per_shard: vec![ShardStats::default(); shards],
@@ -262,7 +165,7 @@ where
         ..ExploreStats::default()
     };
     let mut order: Vec<S::State> = Vec::new();
-    let all: Vec<usize> = (0..inputs.len()).collect();
+    let residue = |key: u128| (key % shards as u128) as usize;
 
     let finish = |order: Vec<S::State>, mut stats: ExploreStats| {
         stats.states = order.len();
@@ -274,12 +177,11 @@ where
     // is taken up for expansion, exactly as in the reference explorer.
     for s in initial {
         let key = key_of(reduction, s);
-        let owner = shard_of(key, shards);
-        if seen[owner].insert(key) {
+        if seen.insert(key) {
             if let Some(filter) = bloom.as_mut() {
                 filter.insert(key);
             }
-            stats.per_shard[owner].owned += 1;
+            stats.per_shard[residue(key)].owned += 1;
             order.push(s.clone());
         }
     }
@@ -293,124 +195,68 @@ where
             break;
         }
         stats.levels += 1;
-        let level = cursor..order.len();
-        let width = level.len();
+        let width = order.len() - cursor;
         stats.max_frontier = stats.max_frontier.max(width);
-
-        // Round-robin expansion assignment: which worker *expands* a parent
-        // is pure load balancing (ownership of the successors is decided by
-        // their keys), so no hash is needed here.
-        for p in 0..width {
-            stats.per_shard[p % shards].expanded += 1;
-        }
-
-        let frontier = &order[level];
-
-        // Ample-set selection happens up front, single-threaded and in
-        // frontier order, so skip counters and expansion lists are
-        // identical for every shard count.
-        let lists: Option<Vec<Vec<usize>>> = reduction.ample.map(|ample| {
-            frontier
-                .iter()
-                .map(|s| ample(s, inputs).indices(inputs.len()))
-                .collect()
-        });
-        if let Some(lists) = &lists {
-            stats.reduction.ample_skips += lists
-                .iter()
-                .map(|l| (inputs.len() - l.len()) as u64)
-                .sum::<u64>();
-        }
-
-        // Expand. Tiny levels (a chain-shaped state space, or fewer
-        // successors than threads) run inline: same candidates, same tags,
-        // no spawn cost.
-        let threaded = shards > 1 && width * inputs.len() >= shards * 8;
-        if threaded {
+        if spawns(shards, width) {
             stats.threaded_levels += 1;
         }
-        let routed: Vec<Vec<Cand<S::State>>> = if threaded {
-            expand_level(
-                sys,
-                frontier,
-                inputs,
-                &all,
-                lists.as_deref(),
-                reduction,
-                shards,
-            )
-        } else {
-            let mut per_owner: Vec<Vec<Cand<S::State>>> = vec![Vec::new(); shards];
-            for (p, s) in frontier.iter().enumerate() {
-                for &i_idx in expansion(&all, lists.as_deref(), p) {
-                    let (_, next) = sys.step(s, &inputs[i_idx]);
-                    let key = key_of(reduction, &next);
-                    per_owner[shard_of(key, shards)].push(((p, i_idx), key, next));
-                }
-            }
-            per_owner
-        };
-        for (owner, cands) in routed.iter().enumerate() {
-            stats.per_shard[owner].routed += cands.len();
-        }
 
-        // Dedup against each owner's shard of the seen-set. The Bloom
-        // filter is read-only here (grown only at the merge below), so the
-        // negative/false-positive tallies are level-deterministic and
-        // shard-count-invariant.
-        let bloom_ref = bloom.as_ref();
-        // (surviving candidates, bloom negatives, bloom false positives)
-        // per owner shard.
-        type Deduped<T> = Vec<(Vec<Cand<T>>, u64, u64)>;
-        let deduped: Deduped<S::State> = if threaded {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = routed
-                    .into_iter()
-                    .zip(seen.iter())
-                    .map(|(cands, shard)| {
-                        scope.spawn(move || dedup_candidates(shard, bloom_ref, cands))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("dedup thread panicked"))
-                    .collect()
-            })
-        } else {
-            routed
-                .into_iter()
-                .zip(seen.iter())
-                .map(|(cands, shard)| dedup_candidates(shard, bloom_ref, cands))
+        // Expand: per parent, the (key, successor) pairs of its ample
+        // inputs, in input order. Ample lists are ascending, so the
+        // concatenated chunks are a subsequence of the unreduced
+        // (parent, input) discovery order.
+        let frontier = &order[cursor..];
+        let chunks: Vec<Vec<Successors<S::State>>> = par_chunks(shards, width, |range| {
+            frontier[range]
+                .iter()
+                .map(|s| {
+                    let expand = |i: &S::Input| {
+                        let next = sys.step(s, i).1;
+                        (key_of(reduction, &next), next)
+                    };
+                    match reduction.ample {
+                        Some(ample) => ample(s, inputs)
+                            .indices(inputs.len())
+                            .into_iter()
+                            .map(|i| expand(&inputs[i]))
+                            .collect(),
+                        None => inputs.iter().map(expand).collect(),
+                    }
+                })
                 .collect()
-        };
-        let mut novel: Vec<Cand<S::State>> = Vec::new();
-        for (cands, negatives, false_positives) in deduped {
-            stats.reduction.bloom_negatives += negatives;
-            stats.reduction.bloom_false_positives += false_positives;
-            novel.extend(cands);
-        }
+        });
 
-        // Deterministic merge: commit survivors in (parent, input) order,
-        // re-applying the reference truncation rule before each parent.
-        // Each survivor is moved into `order` and the seen-set keeps only
-        // its 16-byte key, so a discovered state is allocated exactly once.
-        novel.sort_by_key(|(tag, _, _)| *tag);
-        let mut it = novel.into_iter().peekable();
-        for p in 0..width {
-            if order.len() >= limit {
-                stats.truncated = true;
-                return finish(order, stats);
-            }
-            cursor += 1;
-            while it.peek().is_some_and(|(tag, _, _)| tag.0 == p) {
-                let (_, key, s) = it.next().expect("peeked");
-                let owner = shard_of(key, shards);
-                seen[owner].insert(key);
-                if let Some(filter) = bloom.as_mut() {
-                    filter.insert(key);
+        // Commit in (parent, input) order, re-applying the reference
+        // truncation rule before each parent. A discovered state is moved
+        // into `order` and the seen-set keeps only its 16-byte key. The
+        // Bloom filter grows with the seen-set; for each novel key it
+        // answered either "definitely absent" (a negative) or "maybe seen"
+        // (a false positive).
+        for (worker, parents) in chunks.into_iter().enumerate() {
+            for successors in parents {
+                if order.len() >= limit {
+                    stats.truncated = true;
+                    return finish(order, stats);
                 }
-                stats.per_shard[owner].owned += 1;
-                order.push(s);
+                cursor += 1;
+                stats.per_shard[worker].expanded += 1;
+                stats.per_shard[worker].routed += successors.len();
+                stats.reduction.ample_skips += (inputs.len() - successors.len()) as u64;
+                for (key, next) in successors {
+                    if !seen.insert(key) {
+                        continue;
+                    }
+                    if let Some(filter) = bloom.as_mut() {
+                        if filter.may_contain(key) {
+                            stats.reduction.bloom_false_positives += 1;
+                        } else {
+                            stats.reduction.bloom_negatives += 1;
+                        }
+                        filter.insert(key);
+                    }
+                    stats.per_shard[residue(key)].owned += 1;
+                    order.push(next);
+                }
             }
         }
     }
@@ -443,20 +289,22 @@ where
     (order, stats.truncated)
 }
 
-/// Bounded, order-preserving buffer of violation candidates: per condition,
-/// the `cap` candidates with the smallest keys a worker has seen. The
-/// global merge replays the union through the global cap, so a worker never
-/// needs more than `cap` survivors per condition regardless of its
-/// iteration order.
-struct CapBuf {
+/// One worker's condition tally: check counts, and per condition the `cap`
+/// violation candidates with the smallest keys it has seen. The global
+/// merge replays the union through the global cap, so a worker never needs
+/// more than `cap` survivors per condition regardless of its iteration
+/// order.
+struct Tally {
     cap: usize,
+    checks: [u64; 6],
     per: [Vec<(Key, Violation)>; 6],
 }
 
-impl CapBuf {
-    fn new(cap: usize) -> CapBuf {
-        CapBuf {
+impl Tally {
+    fn new(cap: usize) -> Tally {
+        Tally {
             cap,
+            checks: [0; 6],
             per: Default::default(),
         }
     }
@@ -483,10 +331,6 @@ impl CapBuf {
         );
         v.truncate(self.cap);
     }
-
-    fn drain(self) -> Vec<(Key, Violation)> {
-        self.per.into_iter().flatten().collect()
-    }
 }
 
 /// Evenly-sized contiguous chunk ranges.
@@ -504,15 +348,16 @@ fn chunk_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Runs `f` over chunk ranges of `0..len` on up to `workers` scoped
-/// threads, returning results in chunk order (deterministic).
+/// Runs `f` over the chunk ranges of `0..len` for `workers`, returning
+/// results in chunk order (deterministic). Each chunk gets a scoped thread
+/// when [`spawns`] says so; otherwise the chunks run inline, in order.
 fn par_chunks<R, F>(workers: usize, len: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
     let ranges = chunk_ranges(len, workers);
-    if ranges.len() <= 1 {
+    if !spawns(workers, len) {
         return ranges.into_iter().map(f).collect();
     }
     let f = &f;
@@ -531,13 +376,13 @@ where
 /// The frontier-sharded Proof of Separability checker.
 ///
 /// Report-identical to [`crate::check::SeparabilityChecker`] for every
-/// shard count (see the `differential_checker` test suite), and faster:
-/// work is sharded across threads, and per-`(state, op)` successors are
+/// worker count (see the `differential_checker` test suite), and faster:
+/// work is split across threads, and per-`(state, op)` successors are
 /// shared across abstractions instead of recomputed per colour.
 #[derive(Debug, Clone)]
 pub struct ParallelSeparabilityChecker {
-    /// Worker/owner thread pairs (1 = single-threaded, still using the
-    /// sharded data path).
+    /// Worker threads (1 = single-threaded, still using the sharded data
+    /// path).
     pub shards: usize,
     /// Stop recording violations of a condition after this many (checking
     /// continues, counting only). Must match the sequential checker's cap
@@ -573,6 +418,7 @@ impl ParallelSeparabilityChecker {
         S::Colour: Send + Sync,
         S::Input: Sync,
         S::Op: Sync,
+        S::View: Send + Sync,
         A: Abstraction<S> + Sync,
         A::AState: Send + Sync,
     {
@@ -584,7 +430,7 @@ impl ParallelSeparabilityChecker {
 
     /// Explores reachable states with the sharded BFS, then checks the six
     /// conditions over them. Returns the report plus exploration statistics
-    /// (frontier depth, per-shard ownership, reduction counters).
+    /// (frontier depth, per-worker counters, reduction counters).
     ///
     /// The caller decides what truncation means for it; the report covers
     /// whatever prefix was explored, exactly like the sequential checker
@@ -602,6 +448,7 @@ impl ParallelSeparabilityChecker {
         S::Colour: Send + Sync,
         S::Input: Sync,
         S::Op: Sync,
+        S::View: Send + Sync,
         A: Abstraction<S> + Sync,
         A::AState: Send + Sync,
     {
@@ -627,6 +474,7 @@ impl ParallelSeparabilityChecker {
         S::Colour: Send + Sync,
         S::Input: Sync,
         S::Op: Sync,
+        S::View: Send + Sync,
         A: Abstraction<S> + Sync,
         A::AState: Send + Sync,
     {
@@ -645,10 +493,10 @@ impl ParallelSeparabilityChecker {
         (report, stats)
     }
 
-    /// The six conditions over an explicit state list. Violation candidates
-    /// from every worker carry sequential-encounter-order keys; the final
-    /// sort-and-replay reproduces the sequential checker's violation list
-    /// exactly.
+    /// The six conditions over an explicit state list, in two sweeps.
+    /// Violation candidates from every worker carry sequential-encounter-order
+    /// keys; the final sort-and-replay reproduces the sequential checker's
+    /// violation list exactly.
     fn check_states<S, A>(
         &self,
         sys: &S,
@@ -663,68 +511,96 @@ impl ParallelSeparabilityChecker {
         S::Colour: Send + Sync,
         S::Input: Sync,
         S::Op: Sync,
+        S::View: Send + Sync,
         A: Abstraction<S> + Sync,
         A::AState: Send + Sync,
     {
         let cap = self.max_violations_per_condition;
-        let shards = self.shards.max(1);
-        let mut report = CheckReport {
-            states: states.len(),
-            ops: ops.len(),
-            inputs: inputs.len(),
-            ..CheckReport::default()
-        };
-
-        let colours_of: Vec<S::Colour> = par_chunks(shards, states.len(), |r| {
-            states[r].iter().map(|s| sys.colour(s)).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let workers = self.shards.max(1);
+        let (n_in, n_ab) = (inputs.len(), abstractions.len());
         let a_colours: Vec<S::Colour> = abstractions.iter().map(|a| a.colour()).collect();
         let colour_strs: Vec<String> = a_colours.iter().map(|c| format!("{c:?}")).collect();
 
-        // Input-consumption successors, one per (state, input), shared by
-        // every abstraction across conditions 3 and 4. The sequential
-        // checker recomputes these per colour; on systems where `consume`
-        // clones real machine state this — together with the shared
-        // (state, op) successors below — is the bulk of the parallel
-        // checker's algorithmic advantage. Costs `inputs.len()` extra
-        // resident copies of the state list.
-        let mids: Vec<S::State> = par_chunks(shards, states.len(), |r| {
-            let mut out = Vec::with_capacity(r.len() * inputs.len());
-            for s in &states[r] {
-                for i in inputs {
-                    out.push(sys.consume(s, i));
-                }
+        // Sweep 1: every per-state fact the conditions read. `mids` holds
+        // the input-consumption successors, one per (state, input), shared
+        // by every abstraction across conditions 3 and 4 (the sequential
+        // checker recomputes these per colour). `phis` and `outs` hold Φ and
+        // the output view per (state, abstraction).
+        let mut colours: Vec<S::Colour> = Vec::with_capacity(states.len());
+        let mut mids: Vec<S::State> = Vec::with_capacity(states.len() * n_in);
+        let mut phis: Vec<A::AState> = Vec::with_capacity(states.len() * n_ab);
+        let mut outs: Vec<S::View> = Vec::with_capacity(states.len() * n_ab);
+        for (c, m, p, o) in par_chunks(workers, states.len(), |range| {
+            let (mut c, mut m, mut p, mut o) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for s in &states[range] {
+                c.push(sys.colour(s));
+                m.extend(inputs.iter().map(|i| sys.consume(s, i)));
+                p.extend(abstractions.iter().map(|a| a.phi(sys, s)));
+                let out = sys.output(s);
+                o.extend(a_colours.iter().map(|c| sys.extract_output(c, &out)));
             }
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let mid = |s_idx: usize, i_idx: usize| &mids[s_idx * inputs.len() + i_idx];
+            (c, m, p, o)
+        }) {
+            colours.extend(c);
+            mids.extend(m);
+            phis.extend(p);
+            outs.extend(o);
+        }
+        let mid = |s: usize, i: usize| &mids[s * n_in + i];
 
-        let mut cands: Vec<(Key, Violation)> = Vec::new();
+        // View groups in first-index order — the sequential checker's
+        // representative choices. `reps[s * n_ab + a]` is state s's
+        // representative under abstraction a (s itself for a
+        // representative); `reps6` groups only the states of the
+        // abstraction's own colour (condition 6), and maps every other
+        // state to itself.
+        let mut reps = vec![0usize; phis.len()];
+        let mut reps6 = vec![0usize; phis.len()];
+        for a in 0..n_ab {
+            let mut all: HashMap<&A::AState, usize> = HashMap::new();
+            let mut own: HashMap<&A::AState, usize> = HashMap::new();
+            for s in 0..states.len() {
+                let phi = &phis[s * n_ab + a];
+                reps[s * n_ab + a] = *all.entry(phi).or_insert(s);
+                reps6[s * n_ab + a] = if colours[s] == a_colours[a] {
+                    *own.entry(phi).or_insert(s)
+                } else {
+                    s
+                };
+            }
+        }
+        // Input groups by EXTRACT(c, i), per abstraction: `(input, rep)` for
+        // every input that is not its group's first member.
+        let imembers: Vec<Vec<(usize, usize)>> = a_colours
+            .iter()
+            .map(|c| {
+                let views: Vec<S::View> = inputs.iter().map(|i| sys.extract_input(c, i)).collect();
+                (0..n_in)
+                    .filter_map(|i| {
+                        let rep = views.iter().position(|v| *v == views[i]).unwrap_or(i);
+                        (rep != i).then_some((i, rep))
+                    })
+                    .collect()
+            })
+            .collect();
 
-        // Conditions 1 and 2, all abstractions at once: each (state, op)
-        // successor is computed once and shared across the N colours.
-        let partials = par_chunks(shards, states.len(), |range| {
-            let mut checks = [0u64; 6];
-            let mut buf = CapBuf::new(cap);
+        // Sweep 2: conditions 1–6 per state.
+        let tallies = par_chunks(workers, states.len(), |range| {
+            let mut t = Tally::new(cap);
             for idx in range {
                 let s = &states[idx];
-                let mut phi_cache: Vec<Option<A::AState>> = vec![None; abstractions.len()];
+                // Conditions 1 and 2: each (state, op) successor is
+                // computed once and shared across the N abstractions.
                 for (op_idx, op) in ops.iter().enumerate() {
                     let after = sys.apply(op, s);
                     for (a_idx, a) in abstractions.iter().enumerate() {
-                        if colours_of[idx] == a_colours[a_idx] {
-                            checks[Condition::OpRespectsAbstraction.index()] += 1;
-                            let phi_s = phi_cache[a_idx].get_or_insert_with(|| a.phi(sys, s));
+                        let phi_s = &phis[idx * n_ab + a_idx];
+                        if colours[idx] == a_colours[a_idx] {
+                            t.checks[Condition::OpRespectsAbstraction.index()] += 1;
                             let phi_after = a.phi(sys, &after);
                             let abstract_after = a.apply_abstract(sys, &a.abop(sys, op), phi_s);
                             if phi_after != abstract_after {
-                                buf.push(
+                                t.push(
                                     Condition::OpRespectsAbstraction,
                                     (a_idx, 0, idx, op_idx),
                                     &colour_strs[a_idx],
@@ -734,219 +610,115 @@ impl ParallelSeparabilityChecker {
                                 );
                             }
                         } else {
-                            checks[Condition::OpInvisibleToInactive.index()] += 1;
+                            t.checks[Condition::OpInvisibleToInactive.index()] += 1;
                             if !a.phi_eq(sys, &after, s) {
                                 let phi_after = a.phi(sys, &after);
-                                let phi_s = a.phi(sys, s);
-                                buf.push(
+                                t.push(
                                     Condition::OpInvisibleToInactive,
                                     (a_idx, 0, idx, op_idx),
                                     &colour_strs[a_idx],
                                     format!(
-                                        "state {s:?} (active colour {:?}), op {op:?}: view changed from {:?} to {phi_after:?}",
-                                        colours_of[idx], phi_s
+                                        "state {s:?} (active colour {:?}), op {op:?}: view changed from {phi_s:?} to {phi_after:?}",
+                                        colours[idx]
                                     ),
                                 );
                             }
                         }
                     }
                 }
-            }
-            (checks, buf)
-        });
-        for (checks, buf) in partials {
-            for (i, c) in checks.iter().enumerate() {
-                report.checks[i] += c;
-            }
-            cands.extend(buf.drain());
-        }
-
-        for (a_idx, a) in abstractions.iter().enumerate() {
-            let c = &a_colours[a_idx];
-            let colour_str = &colour_strs[a_idx];
-
-            let phis: Vec<A::AState> = par_chunks(shards, states.len(), |r| {
-                states[r].iter().map(|s| a.phi(sys, s)).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-
-            // View groups in first-index order — the same representative
-            // construction as the sequential checker.
-            let mut reps: HashMap<&A::AState, usize> = HashMap::new();
-            let mut members: Vec<(usize, usize)> = Vec::new();
-            for (idx, phi) in phis.iter().enumerate() {
-                let rep = *reps.entry(phi).or_insert(idx);
-                if rep != idx {
-                    members.push((idx, rep));
-                }
-            }
-
-            // Condition 3.
-            let partials = par_chunks(shards, members.len(), |range| {
-                let mut checks = 0u64;
-                let mut buf = CapBuf::new(cap);
-                for m in range {
-                    let (idx, rep) = members[m];
-                    for (i_idx, i) in inputs.iter().enumerate() {
-                        checks += 1;
-                        let via_s_state = mid(idx, i_idx);
-                        let via_rep_state = mid(rep, i_idx);
-                        if !a.phi_eq(sys, via_s_state, via_rep_state) {
-                            let via_s = a.phi(sys, via_s_state);
-                            let via_rep = a.phi(sys, via_rep_state);
-                            buf.push(
-                                Condition::InputDependsOnlyOnView,
-                                (a_idx, 1, idx, i_idx),
+                for (a_idx, a) in abstractions.iter().enumerate() {
+                    let at = idx * n_ab + a_idx;
+                    let colour_str = &colour_strs[a_idx];
+                    let rep = reps[at];
+                    if rep != idx {
+                        // Condition 3.
+                        for (i_idx, i) in inputs.iter().enumerate() {
+                            t.checks[Condition::InputDependsOnlyOnView.index()] += 1;
+                            let (via_s_state, via_rep_state) = (mid(idx, i_idx), mid(rep, i_idx));
+                            if !a.phi_eq(sys, via_s_state, via_rep_state) {
+                                let via_s = a.phi(sys, via_s_state);
+                                let via_rep = a.phi(sys, via_rep_state);
+                                t.push(
+                                    Condition::InputDependsOnlyOnView,
+                                    (a_idx, 1, idx, i_idx),
+                                    colour_str,
+                                    format!(
+                                        "states {:?} and {:?} share view {:?} but input {i:?} yields views {via_s:?} vs {via_rep:?}",
+                                        s, states[rep], phis[at]
+                                    ),
+                                );
+                            }
+                        }
+                        // Condition 5 (same view groups as condition 3).
+                        t.checks[Condition::OutputDependsOnlyOnView.index()] += 1;
+                        let (out_s, out_rep) = (&outs[at], &outs[rep * n_ab + a_idx]);
+                        if out_s != out_rep {
+                            t.push(
+                                Condition::OutputDependsOnlyOnView,
+                                (a_idx, 3, idx, 0),
                                 colour_str,
                                 format!(
-                                    "states {:?} and {:?} share view {:?} but input {i:?} yields views {via_s:?} vs {via_rep:?}",
-                                    states[idx], states[rep], phis[idx]
+                                    "states {:?} and {:?} share view {:?} but outputs project to {out_s:?} vs {out_rep:?}",
+                                    s, states[rep], phis[at]
+                                ),
+                            );
+                        }
+                    }
+                    // Condition 4.
+                    for &(i_idx, i_rep) in &imembers[a_idx] {
+                        t.checks[Condition::InputDependsOnlyOnOwnComponent.index()] += 1;
+                        let (via_i_state, via_rep_state) = (mid(idx, i_idx), mid(idx, i_rep));
+                        if !a.phi_eq(sys, via_i_state, via_rep_state) {
+                            let via_i = a.phi(sys, via_i_state);
+                            let via_rep = a.phi(sys, via_rep_state);
+                            t.push(
+                                Condition::InputDependsOnlyOnOwnComponent,
+                                (a_idx, 2, i_idx, idx),
+                                colour_str,
+                                format!(
+                                    "inputs {:?} and {:?} agree on colour's component but state {s:?} yields views {via_i:?} vs {via_rep:?}",
+                                    inputs[i_idx], inputs[i_rep]
+                                ),
+                            );
+                        }
+                    }
+                    // Condition 6: colour-filtered view groups.
+                    let rep6 = reps6[at];
+                    if rep6 != idx {
+                        t.checks[Condition::NextOpDependsOnlyOnView.index()] += 1;
+                        let (op_s, op_rep) = (sys.next_op(s), sys.next_op(&states[rep6]));
+                        if op_s != op_rep {
+                            t.push(
+                                Condition::NextOpDependsOnlyOnView,
+                                (a_idx, 4, idx, 0),
+                                colour_str,
+                                format!(
+                                    "states {:?} and {:?} share view {:?} but NEXTOP differs: {op_s:?} vs {op_rep:?}",
+                                    s, states[rep6], phis[at]
                                 ),
                             );
                         }
                     }
                 }
-                (checks, buf)
-            });
-            for (checks, buf) in partials {
-                report.checks[Condition::InputDependsOnlyOnView.index()] += checks;
-                cands.extend(buf.drain());
             }
-
-            // Condition 4: input groups by EXTRACT(c, i), the sequential
-            // checker's exact (order-sensitive) representative choice.
-            let views: Vec<S::View> = inputs.iter().map(|i| sys.extract_input(c, i)).collect();
-            let mut input_reps: Vec<usize> = Vec::with_capacity(inputs.len());
-            {
-                let mut seen_views: Vec<(usize, &S::View)> = Vec::new();
-                for view in views.iter() {
-                    let rep = seen_views
-                        .iter()
-                        .find(|(_, v)| *v == view)
-                        .map(|(idx, _)| *idx);
-                    match rep {
-                        Some(r) => input_reps.push(r),
-                        None => {
-                            seen_views.push((input_reps.len(), view));
-                            input_reps.push(input_reps.len());
-                        }
-                    }
-                }
-            }
-            let imembers: Vec<(usize, usize)> = input_reps
-                .iter()
-                .enumerate()
-                .filter(|(i, r)| **r != *i)
-                .map(|(i, r)| (i, *r))
-                .collect();
-            if !imembers.is_empty() {
-                let partials = par_chunks(shards, states.len(), |range| {
-                    let mut checks = 0u64;
-                    let mut buf = CapBuf::new(cap);
-                    for s_idx in range {
-                        let s = &states[s_idx];
-                        for &(i_idx, rep) in &imembers {
-                            checks += 1;
-                            let via_i_state = mid(s_idx, i_idx);
-                            let via_rep_state = mid(s_idx, rep);
-                            if !a.phi_eq(sys, via_i_state, via_rep_state) {
-                                let via_i = a.phi(sys, via_i_state);
-                                let via_rep = a.phi(sys, via_rep_state);
-                                buf.push(
-                                    Condition::InputDependsOnlyOnOwnComponent,
-                                    (a_idx, 2, i_idx, s_idx),
-                                    colour_str,
-                                    format!(
-                                        "inputs {:?} and {:?} agree on colour's component but state {s:?} yields views {via_i:?} vs {via_rep:?}",
-                                        inputs[i_idx], inputs[rep]
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                    (checks, buf)
-                });
-                for (checks, buf) in partials {
-                    report.checks[Condition::InputDependsOnlyOnOwnComponent.index()] += checks;
-                    cands.extend(buf.drain());
-                }
-            }
-
-            // Condition 5 (same view groups as condition 3).
-            let partials = par_chunks(shards, members.len(), |range| {
-                let mut checks = 0u64;
-                let mut buf = CapBuf::new(cap);
-                let mut out_reps: HashMap<usize, S::View> = HashMap::new();
-                for m in range {
-                    let (idx, rep) = members[m];
-                    checks += 1;
-                    let out_s = sys.extract_output(c, &sys.output(&states[idx]));
-                    let out_rep = out_reps
-                        .entry(rep)
-                        .or_insert_with(|| sys.extract_output(c, &sys.output(&states[rep])));
-                    if out_s != *out_rep {
-                        buf.push(
-                            Condition::OutputDependsOnlyOnView,
-                            (a_idx, 3, idx, 0),
-                            colour_str,
-                            format!(
-                                "states {:?} and {:?} share view {:?} but outputs project to {out_s:?} vs {out_rep:?}",
-                                states[idx], states[rep], phis[idx]
-                            ),
-                        );
-                    }
-                }
-                (checks, buf)
-            });
-            for (checks, buf) in partials {
-                report.checks[Condition::OutputDependsOnlyOnView.index()] += checks;
-                cands.extend(buf.drain());
-            }
-
-            // Condition 6: colour-filtered view groups.
-            let mut reps6: HashMap<&A::AState, usize> = HashMap::new();
-            let mut members6: Vec<(usize, usize)> = Vec::new();
-            for (idx, phi) in phis.iter().enumerate() {
-                if &colours_of[idx] != c {
-                    continue;
-                }
-                let rep = *reps6.entry(phi).or_insert(idx);
-                if rep != idx {
-                    members6.push((idx, rep));
-                }
-            }
-            let partials = par_chunks(shards, members6.len(), |range| {
-                let mut checks = 0u64;
-                let mut buf = CapBuf::new(cap);
-                for m in range {
-                    let (idx, rep) = members6[m];
-                    checks += 1;
-                    let op_s = sys.next_op(&states[idx]);
-                    let op_rep = sys.next_op(&states[rep]);
-                    if op_s != op_rep {
-                        buf.push(
-                            Condition::NextOpDependsOnlyOnView,
-                            (a_idx, 4, idx, 0),
-                            colour_str,
-                            format!(
-                                "states {:?} and {:?} share view {:?} but NEXTOP differs: {op_s:?} vs {op_rep:?}",
-                                states[idx], states[rep], phis[idx]
-                            ),
-                        );
-                    }
-                }
-                (checks, buf)
-            });
-            for (checks, buf) in partials {
-                report.checks[Condition::NextOpDependsOnlyOnView.index()] += checks;
-                cands.extend(buf.drain());
-            }
-        }
+            t
+        });
 
         // Deterministic merge: replay every worker's candidates in
         // sequential encounter order through the global per-condition cap.
+        let mut report = CheckReport {
+            states: states.len(),
+            ops: ops.len(),
+            inputs: n_in,
+            ..CheckReport::default()
+        };
+        let mut cands: Vec<(Key, Violation)> = Vec::new();
+        for t in tallies {
+            for (total, c) in report.checks.iter_mut().zip(t.checks) {
+                *total += c;
+            }
+            cands.extend(t.per.into_iter().flatten());
+        }
         cands.sort_by_key(|(key, _)| *key);
         for (_key, v) in cands {
             if report.violations_of(v.condition).count() < cap {
@@ -1037,5 +809,40 @@ mod tests {
             assert_eq!(reference, par, "shards {shards}");
             assert!(stats.reduction.bloom_negatives > 0, "Bloom never engaged");
         }
+    }
+
+    #[test]
+    fn chunks_partition_in_order_and_spawn_only_from_the_threshold() {
+        let gen = |g: &mut crate::prop::Gen| {
+            let len = if g.bool() {
+                g.int(0..=2 * SPAWN_THRESHOLD)
+            } else {
+                g.int(0..=10_000usize)
+            };
+            (len, g.int(1..=16usize))
+        };
+        crate::prop::check(64, gen, |(len, workers)| {
+            let ranges = chunk_ranges(len, workers);
+            let mut next = 0;
+            for r in &ranges {
+                assert_eq!(r.start, next, "ranges leave a gap or overlap");
+                next = r.end;
+            }
+            assert_eq!(next, len, "ranges do not cover 0..len");
+            let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+            let (lo, hi) = (sizes.iter().min(), sizes.iter().max());
+            assert!(hi.unwrap() - lo.unwrap() <= 1, "uneven chunks {sizes:?}");
+
+            let caller = std::thread::current().id();
+            let out = par_chunks(workers, len, |r| (r, std::thread::current().id()));
+            let got: Vec<Range<usize>> = out.iter().map(|(r, _)| r.clone()).collect();
+            assert_eq!(got, ranges, "results out of chunk order");
+            let inline = out.iter().filter(|(_, id)| *id == caller).count();
+            if workers == 1 || len < SPAWN_THRESHOLD {
+                assert_eq!(inline, out.len(), "spawned below the threshold");
+            } else {
+                assert_eq!(inline, 0, "a chunk ran inline at or above the threshold");
+            }
+        });
     }
 }

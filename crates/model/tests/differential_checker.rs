@@ -9,7 +9,7 @@
 //! Runs against the real kernel (`sep-kernel` + `sep-bench` workloads — a
 //! dev-only dependency cycle Cargo permits) and against the model's own
 //! demo machine with every seeded leak. One kernel leg is wide enough that
-//! the threaded expansion and dedup path runs, and asserts that it did.
+//! the threaded expansion runs, and asserts that it did.
 
 use sep_bench::{memory_workload, register_workload, symmetric_workload};
 use sep_kernel::config::{KernelConfig, Mutation};
@@ -103,8 +103,8 @@ fn demo_machine_leaks_are_shard_invariant() {
 #[test]
 fn wide_levels_run_threaded_and_match_the_reference() {
     // The register and memory legs are chain-shaped (one input, frontier
-    // width 1), below the inline threshold `width * inputs >= shards * 8`,
-    // so they never reach the threaded expansion and dedup. Three
+    // width 1), narrower than the 8 parents a level needs before its
+    // expansion spawns worker threads, so they always expand inline. Three
     // symmetric regimes fed host bytes, with no reductions, reach a
     // frontier of 54 states under 4 inputs: wide enough to thread at every
     // shard count tested.
@@ -122,6 +122,11 @@ fn wide_levels_run_threaded_and_match_the_reference() {
             assert!(
                 stats.threaded_levels > 0,
                 "shards {shards}: the threaded path never ran: {stats:?}"
+            );
+            let working = stats.per_shard.iter().filter(|w| w.expanded > 0).count();
+            assert!(
+                working > 1,
+                "shards {shards}: only {working} worker expanded parents: {stats:?}"
             );
         } else {
             assert_eq!(stats.threaded_levels, 0, "one shard always runs inline");

@@ -11,12 +11,51 @@ use sep_model::canon::{Ample, Reduction};
 use sep_model::demo::{DemoMachine, Leak};
 use sep_model::explore::{reachable_states, SampledChecker};
 use sep_model::fp::{fingerprint, BloomParams, Dedup};
-use sep_model::parallel::{par_explore, par_reachable_states, ExploreStats};
-use sep_model::system::Finite;
+use sep_model::parallel::{par_explore, par_reachable_states, ExploreStats, ShardStats};
+use sep_model::system::{Finite, SharedSystem};
 use std::collections::HashSet;
 
+type DemoState = <DemoMachine as SharedSystem>::State;
+type DemoInput = <DemoMachine as SharedSystem>::Input;
+
+/// The parents the reference BFS expands before it stops at `limit` (its
+/// pops), replayed from its unlimited discovery order `full`: the states
+/// discovered after k expansions are the initial state plus the successors
+/// of `full[..k]`, and the reference pops once more while fewer than
+/// `limit` are known.
+fn reference_pops(
+    m: &DemoMachine,
+    full: &[DemoState],
+    inputs: &[DemoInput],
+    limit: usize,
+) -> usize {
+    let mut discovered: HashSet<DemoState> = HashSet::from([full[0]]);
+    for (k, s) in full.iter().enumerate() {
+        if discovered.len() >= limit {
+            return k;
+        }
+        discovered.extend(inputs.iter().map(|i| m.step(s, i).1));
+    }
+    full.len()
+}
+
+/// The per-worker counters account for every committed parent and
+/// successor: each discovered state counts to exactly one worker's `owned`, and
+/// each expanded parent's inputs were either produced as candidates or
+/// skipped by its ample set.
+fn assert_worker_sums(stats: &ExploreStats, inputs: usize, label: &str) {
+    let sum = |f: fn(&ShardStats) -> usize| stats.per_shard.iter().map(f).sum::<usize>();
+    assert_eq!(stats.per_shard.len(), stats.shards, "{label}");
+    assert_eq!(sum(|w| w.owned), stats.states, "{label}: Σowned");
+    assert_eq!(
+        sum(|w| w.routed) as u64 + stats.reduction.ample_skips,
+        (sum(|w| w.expanded) * inputs) as u64,
+        "{label}: Σrouted + ample_skips"
+    );
+}
+
 /// The shard-count-invariant projection of [`ExploreStats`]: everything
-/// except `shards` itself and the per-shard ownership split.
+/// except `shards` itself and the per-worker split.
 fn projection(s: &ExploreStats) -> (usize, usize, usize, bool, sep_model::canon::ReductionStats) {
     (s.states, s.levels, s.max_frontier, s.truncated, s.reduction)
 }
@@ -116,6 +155,9 @@ fn truncation_flips_exactly_at_the_limit() {
         // on how many novel successors the final expansion added at once.
         (n - 1, true, None),
         (1, true, Some(1)),
+        // Mid-level cuts: the counters must cover only committed parents.
+        (10, true, None),
+        (15, true, None),
         // Limit zero with a nonempty initial set: initial states are
         // admitted unconditionally, then exploration stops immediately.
         (0, true, Some(1)),
@@ -126,10 +168,28 @@ fn truncation_flips_exactly_at_the_limit() {
             assert_eq!(seq.len(), expect_len, "limit {limit}");
         }
         assert_eq!(seq, full[..seq.len()], "limit {limit}: order prefix");
+        let pops = reference_pops(&m, &full, &inputs, limit);
         for shards in [1, 2, 4, 8] {
-            let (par, t_par) = par_reachable_states(&m, &[m.initial()], &inputs, limit, shards);
-            assert_eq!(seq, par, "limit {limit}, shards {shards}");
-            assert_eq!(t_seq, t_par, "limit {limit}, shards {shards}");
+            let (par, stats) = par_explore(
+                &m,
+                &[m.initial()],
+                &inputs,
+                limit,
+                shards,
+                Dedup::default(),
+                &Reduction::none(),
+            );
+            let label = format!("limit {limit}, shards {shards}");
+            assert_eq!(seq, par, "{label}");
+            assert_eq!(t_seq, stats.truncated, "{label}");
+            let expanded: usize = stats.per_shard.iter().map(|w| w.expanded).sum();
+            let routed: usize = stats.per_shard.iter().map(|w| w.routed).sum();
+            assert_eq!(
+                expanded, pops,
+                "{label}: Σexpanded against the reference pops"
+            );
+            assert_eq!(routed, pops * inputs.len(), "{label}: Σrouted");
+            assert_worker_sums(&stats, inputs.len(), &label);
         }
     }
 }
@@ -184,9 +244,11 @@ fn kernel_reductions_are_shard_invariant() {
         .with_por(true);
     let reference: HashSet<_> = sys.states().into_iter().collect();
     let mut first: Option<(Vec<_>, _)> = None;
+    let inputs = sys.inputs().len();
     for shards in [1, 2, 4, 8] {
         let (par, stats) = sys.explore_sharded(shards);
         assert!(stats.reduction.canon && stats.reduction.ample);
+        assert_worker_sums(&stats, inputs, &format!("kernel, shards {shards}"));
         assert!(stats.reduction.ample_skips > 0, "ample never engaged");
         assert!(
             par.len() < reference.len(),
@@ -209,7 +271,7 @@ fn kernel_reductions_are_shard_invariant() {
 #[test]
 fn bloom_counters_are_reproducible_and_order_preserving() {
     // An undersized Bloom filter (64 bits for a ~100-state space) is
-    // guaranteed false positives; they must cost only precise probes —
+    // guaranteed false positives; they must not change what is admitted —
     // identical discovery order — and the counters must be identical run
     // to run and shard count to shard count for a fixed seed.
     let m = DemoMachine::secure(4);
@@ -233,6 +295,7 @@ fn bloom_counters_are_reproducible_and_order_preserving() {
     };
     let (order, stats) = run(2);
     assert_eq!(order, baseline, "Bloom pre-filter changed discovery order");
+    assert_worker_sums(&stats, inputs.len(), "Bloom, shards 2");
     assert!(
         stats.reduction.bloom_false_positives > 0,
         "undersized filter produced no false positives: {stats:?}"
@@ -243,6 +306,7 @@ fn bloom_counters_are_reproducible_and_order_preserving() {
     for shards in [1, 4, 8] {
         let (o, s) = run(shards);
         assert_eq!(o, baseline, "shards {shards}");
+        assert_worker_sums(&s, inputs.len(), &format!("Bloom, shards {shards}"));
         assert_eq!(
             projection(&s),
             projection(&stats),

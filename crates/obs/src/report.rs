@@ -120,7 +120,7 @@ impl RunReport {
     }
 
     /// Attaches a wall-clock entry under exactly `key` (no suffix), for
-    /// derived quantities like speedups or per-shard states/sec that are
+    /// derived quantities like speedups or ratios that are
     /// machine-dependent but not milliseconds.
     pub fn wall(mut self, key: &str, value: f64) -> RunReport {
         self.wall.push((key.to_string(), value));

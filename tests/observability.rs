@@ -148,7 +148,7 @@ fn tracing_does_not_change_the_separability_verdict() {
 #[test]
 fn sharded_checker_reports_are_byte_identical_across_runs() {
     // The deterministic sections of an E2-style run report — counts,
-    // verdicts, per-shard ownership — must not vary run to run or depend
+    // verdicts, per-worker counters — must not vary run to run or depend
     // on scheduler interleaving. (Wall-clock timing is exactly what the
     // `wall` section exists to segregate, so none is attached here.)
     let render = || {
