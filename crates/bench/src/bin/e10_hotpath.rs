@@ -1,11 +1,11 @@
-//! E10 — the hot-path execution engine measured: decode cache + software
+//! E10 — the hot-path execution engine measured: decode table + software
 //! TLB + batched stepping + the superblock compilation tier in the machine,
 //! fingerprinted seen-sets in the checker.
 //!
 //! Every timing row is differential evidence first: each fast configuration
 //! is asserted state-identical to the slow configuration it replaces before
 //! its throughput is printed. The machine section is a three-way sweep —
-//! slow `step()`, decode-cache-only `step_n`, and the full superblock
+//! slow `step()`, decode-table-only `step_n`, and the full superblock
 //! tier — and asserts two floors on the straight-line user-mode workload:
 //! the decode path at ≥2× the slow path (the PR 5 floor) and the warm
 //! superblock tier at ≥3× the decode path. The checker section reports
@@ -90,7 +90,7 @@ fn main() {
         .param("shards", SHARDS as u64);
 
     // -------------------------------------------------------------------
-    // Machine: three-way sweep — step() with caches off, decode-cache-only
+    // Machine: three-way sweep — step() with caches off, decode-table-only
     // step_n, and the full superblock tier. Warm numbers take the fastest
     // of three batches so the floor asserts measure the engine, not
     // scheduler noise.
@@ -149,8 +149,8 @@ fn main() {
     header(&["configuration", "ms", "Minstr/sec", "vs slow"]);
     for (name, ms) in [
         ("step(), caches off", slow_ms),
-        ("step_n decode-cache, cold", decode_cold_ms),
-        ("step_n decode-cache, warm", decode_warm_ms),
+        ("step_n decode table, cold", decode_cold_ms),
+        ("step_n decode table, warm", decode_warm_ms),
         ("step_n superblocks, cold", sb_cold_ms),
         ("step_n superblocks, warm", sb_warm_ms),
     ] {
@@ -167,7 +167,7 @@ fn main() {
     );
     assert!(
         tier_speedup >= 3.0,
-        "warm superblock tier must be at least 3x the decode-cache path, \
+        "warm superblock tier must be at least 3x the decode-table path, \
          measured {tier_speedup:.2}x"
     );
     let hp = &sb.obs.metrics.hotpath;
@@ -176,8 +176,8 @@ fn main() {
         "superblock tier must have engaged on the hot loop"
     );
     println!(
-        "\nicache {} hits / {} misses; TLB {} hits / {} misses / {} invalidations",
-        hp.icache_hits, hp.icache_misses, hp.tlb_hits, hp.tlb_misses, hp.tlb_invalidations
+        "\ndecode table: {} lookups; TLB {} hits / {} misses / {} invalidations",
+        hp.icache_hits, hp.tlb_hits, hp.tlb_misses, hp.tlb_invalidations
     );
     println!(
         "superblocks: {} compiled, {} runs, {} chained, {} flushes, {} instructions in tier",
@@ -319,10 +319,11 @@ fn main() {
     report.write_to(out).expect("write run report");
     println!("\nwrote {out} (wall clock kept apart from the deterministic sections)");
 
-    println!("\nclaim: the fast path is pure memoization — caches and compiled");
+    println!("\nclaim: the fast path is pure memoization — the decode table is a");
+    println!("function of the instruction word alone, and the TLB and compiled");
     println!("superblocks reset on clone and drop on every MMU generation bump, so");
     println!("no regime can observe another's cache footprint. measured:");
-    println!("byte-identical runs and reports across slow / decode-cache /");
+    println!("byte-identical runs and reports across slow / decode-table /");
     println!("superblock engines, ≥2x warm decode throughput, ≥3x warm superblock");
     println!("throughput on top of that, and a 16-byte-per-state checker seen-set");
     println!("with unchanged verdicts.");

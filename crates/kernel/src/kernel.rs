@@ -1371,9 +1371,8 @@ impl SeparationKernel {
         let k = k % n;
         // Capture movable record state and partition pages of every slot.
         // Pending interrupts are captured with slot-relative vector
-        // *offsets* (vector − the owning device's base vector): absolute
-        // vectors are slot identity and must be re-derived at the
-        // destination slot.
+        // *offsets* (see [`irq_vector_base`]): absolute vectors are slot
+        // identity and must be re-derived at the destination slot.
         let movable: Vec<_> = self
             .regimes
             .iter()
@@ -1381,9 +1380,9 @@ impl SeparationKernel {
                 let pending: Vec<(usize, Word, u8)> = rec
                     .pending_irqs
                     .iter()
-                    .map(|(slot, req)| {
-                        let base = rec.devices[*slot].vector;
-                        (*slot, req.vector - base, req.priority)
+                    .map(|&(slot, req)| {
+                        let offset = req.vector.wrapping_sub(irq_vector_base(rec, slot));
+                        (slot, offset, req.priority)
                     })
                     .collect();
                 (
@@ -1449,7 +1448,7 @@ impl SeparationKernel {
             rec.pending_irqs = pending_irqs
                 .into_iter()
                 .map(|(slot, offset, priority)| {
-                    let vector = rec.devices[slot].vector + offset;
+                    let vector = offset.wrapping_add(irq_vector_base(rec, slot));
                     (slot, InterruptRequest { vector, priority })
                 })
                 .collect();
@@ -1461,69 +1460,12 @@ impl SeparationKernel {
     }
 
     /// A canonical vector of the kernel's model-relevant state, used for
-    /// state equality and hashing in the verification adapter.
+    /// state equality and hashing in the verification adapter: the
+    /// rotation-0 [`Self::symmetry_vector`]. Slot identity (names, absolute
+    /// interrupt vectors) is fixed by the configuration, so leaving it out
+    /// distinguishes exactly the same states.
     pub fn state_vector(&self) -> Vec<u64> {
-        let mut v = Vec::new();
-        v.push(self.current as u64);
-        v.push(self.quantum_left);
-        v.push(self.slot_idle_left);
-        v.extend(self.sched.state_words());
-        // Live CPU context.
-        for r in self.machine.cpu.r {
-            v.push(r as u64);
-        }
-        v.push(self.machine.cpu.sp_of(Mode::User) as u64);
-        v.push(self.machine.cpu.pc as u64);
-        v.push(self.machine.cpu.psw.0 as u64);
-        for rec in &self.regimes {
-            v.push(match rec.status {
-                RegimeStatus::Ready => 0,
-                RegimeStatus::Waiting => 1,
-                RegimeStatus::Halted => 2,
-                // Distinct causes are distinct states: a watchdog fault and
-                // a trap fault recover differently, so they must not alias.
-                RegimeStatus::Faulted(c) => 3 + (c.code() << 2),
-            });
-            v.push(rec.restarts_used as u64);
-            v.push(rec.backoff_left as u64);
-            v.push(rec.instr_since_yield);
-            for r in rec.save.r {
-                v.push(r as u64);
-            }
-            v.push(rec.save.sp as u64);
-            v.push(rec.save.pc as u64);
-            v.push(rec.save.cc as u64);
-            v.push(rec.pending_irqs.len() as u64);
-            for (slot, req) in &rec.pending_irqs {
-                v.push(*slot as u64);
-                v.push(req.vector as u64);
-            }
-            // The partition's contents enter as one 64-bit fingerprint.
-            // The second word is derived from it (salted with the regime
-            // name), not an independent hash, so partition contents get
-            // 64 bits of collision resistance.
-            let fp = self
-                .machine
-                .mem
-                .fingerprint(rec.partition_base, PARTITION_SIZE);
-            v.push(fp);
-            v.push(fp.rotate_left(1) ^ fnv(rec.name.as_bytes()));
-            if let Some(n) = &rec.native {
-                v.push(fnv(&n.state_bytes()));
-            }
-        }
-        for snap in self.machine.devices.snapshots() {
-            let bytes: Vec<u8> = snap.iter().flat_map(|w| w.to_le_bytes()).collect();
-            v.push(fnv(&bytes));
-        }
-        for ch in &self.channels {
-            v.push(ch.queue().len() as u64);
-            v.push(ch.latched_full as u64);
-            for msg in ch.queue() {
-                v.push(fnv(msg));
-            }
-        }
-        v
+        self.symmetry_vector(0, &self.partition_fingerprints())
     }
 
     /// The content fingerprint of every regime's partition, in slot order:
@@ -1540,9 +1482,10 @@ impl SeparationKernel {
     }
 
     /// The state vector this kernel would have after
-    /// [`Self::rotate_regime_contents`]`(k)`, with every slot-identity
-    /// component (the regime *name* salt of [`Self::state_vector`])
-    /// removed — the keying the symmetry reduction minimizes over.
+    /// [`Self::rotate_regime_contents`]`(k)`: the keying the symmetry
+    /// reduction minimizes over. It carries no slot-identity component —
+    /// no regime name, and interrupt vectors relative to their binding —
+    /// so rotated-but-equal states encode identically.
     ///
     /// `partition_fps` is [`Self::partition_fingerprints`]. Taking it as an
     /// argument lets a caller that keys every rotation hash each partition
@@ -1589,10 +1532,10 @@ impl SeparationKernel {
             // Vectors are slot identity (assigned per device at boot); emit
             // the offset within the owning device's vector block instead so
             // the encoding is rotation-invariant. Delivery itself is already
-            // slot-relative (the handler table is indexed by device slot).
-            for (slot, req) in &rec.pending_irqs {
-                v.push(*slot as u64);
-                v.push((req.vector - rec.devices[*slot].vector) as u64);
+            // slot-relative (the handler table is indexed by vector slot).
+            for &(slot, req) in &rec.pending_irqs {
+                v.push(slot as u64);
+                v.push(req.vector.wrapping_sub(irq_vector_base(rec, slot)) as u64);
             }
             v.push(partition_fps[src]);
             if let Some(nat) = &rec.native {
@@ -1617,6 +1560,16 @@ impl SeparationKernel {
         }
         v
     }
+}
+
+/// The vector a pending interrupt on vector `slot` is encoded against:
+/// that of the binding owning the slot, `devices[slot / 2]` (each device
+/// has a receive and a transmit slot), or 0 when no binding owns it — a
+/// spurious interrupt on a deviceless regime keeps its raw vector. The
+/// offset `vector - base` (wrapping, so a misrouted request stays total)
+/// moves with a regime's contents; the base is slot identity.
+fn irq_vector_base(rec: &RegimeRecord, slot: usize) -> Word {
+    rec.devices.get(slot / 2).map_or(0, |b| b.vector)
 }
 
 /// FNV-1a over a byte slice.

@@ -170,7 +170,9 @@ pub struct RegimeRecord {
     /// Its devices.
     pub devices: Vec<DeviceBinding>,
     /// Interrupts fielded by the kernel, waiting for delivery to this
-    /// regime (device slot, request).
+    /// regime (vector slot, request). Each device owns two vector slots,
+    /// `2 * i` for its first vector and `2 * i + 1` for its second, so the
+    /// owning binding is `devices[slot / 2]`.
     pub pending_irqs: std::collections::VecDeque<(usize, InterruptRequest)>,
     /// The native program, if this is a native regime.
     pub native: Option<Box<dyn NativeRegime>>,

@@ -488,10 +488,12 @@ fn program_asks_identity(src: &str) -> bool {
 /// kernel's rotation-invariant [`SeparationKernel::symmetry_vector`].
 /// States equal up to a valid rotation share this key, so the sharded
 /// explorer's seen-sets collapse each orbit to its first-discovered member.
-/// Each partition is hashed once per key, whatever the rotation count.
+/// The identity term is the state's own fingerprint, since its stored
+/// vector is the rotation-0 one; each partition is hashed once per key,
+/// whatever the rotation count.
 pub fn canon_key(rotations: &[usize], s: &KernelState) -> u128 {
     let fps = s.kernel.partition_fingerprints();
-    let mut best = fingerprint(&s.kernel.symmetry_vector(0, &fps));
+    let mut best = fingerprint(s);
     for &k in rotations {
         best = best.min(fingerprint(&s.kernel.symmetry_vector(k, &fps)));
     }

@@ -19,7 +19,11 @@
 //!   a program that asks its slot identity be rotated;
 //! * the assembler used to panic when the location counter ran past the
 //!   top of the address space, so booting such a program crashed instead of
-//!   returning `KernelError::Assembly`.
+//!   returning `KernelError::Assembly`;
+//! * the symmetry encoding and the regime rotation used to look a pending
+//!   interrupt's binding up by its *vector slot* (two per device) instead
+//!   of `slot / 2`, so a transmit interrupt, or a spurious one on a
+//!   deviceless regime, indexed past the device list and panicked.
 
 use sep_kernel::channel::ChannelStatus;
 use sep_kernel::config::{ChannelSpec, DeviceSpec, KernelConfig, RegimeSpec};
@@ -330,5 +334,83 @@ fn boot_rejects_a_program_past_the_address_space() {
         }
         Err(other) => panic!("wrong error: {other}"),
         Ok(_) => panic!("booted a program past the address space"),
+    }
+}
+
+/// A spurious interrupt on a deviceless regime sits at vector slot 0 with
+/// a vector no binding claims. Encoding and rotating such a state must not
+/// look for a binding that is not there, and the raw vector must survive
+/// a full turn of rotations.
+#[test]
+fn spurious_interrupt_on_a_deviceless_regime_encodes_and_rotates() {
+    let prog = "start:  TRAP 0\n        BR start";
+    let mut k = SeparationKernel::boot(KernelConfig::new(vec![
+        RegimeSpec::assembly("a", prog),
+        RegimeSpec::assembly("b", prog),
+    ]))
+    .unwrap();
+    k.inject_spurious_interrupt(1);
+    let before = k.state_vector();
+    let turned = k.symmetry_vector(1, &k.partition_fingerprints());
+    assert_ne!(turned, before, "the rotation must move the interrupt");
+    k.rotate_regime_contents(1);
+    assert_eq!(k.regimes[0].pending_irqs.len(), 1);
+    assert_eq!(k.regimes[0].pending_irqs[0].1.vector, 0o274);
+    assert_eq!(
+        k.state_vector(),
+        turned,
+        "symmetry_vector(1) predicts the turn"
+    );
+    k.rotate_regime_contents(1);
+    assert_eq!(k.state_vector(), before, "a full turn restores the state");
+}
+
+/// Regimes whose serial line raises a transmit interrupt, which the kernel
+/// queues on the device's second vector slot. A rotation must move the
+/// pending request to the destination's binding (`slot / 2`) with that
+/// binding's vector, and rotating back must restore the state exactly.
+#[test]
+fn rotation_round_trips_a_transmit_interrupt() {
+    let prog = "
+start:  MOV #0o100, @#0o160004  ; XCSR: transmit interrupt enable
+        MOVB #101, @#0o160006   ; XBUF
+        TRAP 0
+        BR start
+";
+    let n = 3;
+    let mut k = SeparationKernel::boot(KernelConfig::new(
+        (0..n)
+            .map(|i| RegimeSpec::assembly(&format!("t{i}"), prog).with_device(DeviceSpec::Serial))
+            .collect(),
+    ))
+    .unwrap();
+    let transmit_pending = |k: &SeparationKernel| {
+        k.regimes
+            .iter()
+            .any(|r| r.pending_irqs.iter().any(|&(slot, _)| slot == 1))
+    };
+    for _ in 0..200 {
+        if transmit_pending(&k) {
+            break;
+        }
+        k.step();
+    }
+    assert!(transmit_pending(&k), "no transmit interrupt was queued");
+    let before = k.state_vector();
+    for shift in 1..n {
+        let mut rotated = k.clone();
+        rotated.rotate_regime_contents(shift);
+        for rec in &rotated.regimes {
+            for &(slot, req) in &rec.pending_irqs {
+                let binding = &rec.devices[slot / 2];
+                assert_eq!(req.vector, binding.vector + 4 * (slot % 2) as u16);
+            }
+        }
+        rotated.rotate_regime_contents(n - shift);
+        assert_eq!(
+            rotated.state_vector(),
+            before,
+            "rotation by {shift} did not round-trip"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! Three claims, each pinned against the slow path it replaces:
 //!
 //! 1. **Execution**: a kernel run is byte-identical across all three
-//!    engines — the slow path, the decode-cache-only path, and the full
+//!    engines — the slow path, the decode-table-only path, and the full
 //!    superblock tier — same events, stats, state vector, and rendered
 //!    observability report (the report excludes the hot-path counters by
 //!    design, so this equality is exact).
@@ -51,7 +51,7 @@ fn workload() -> KernelConfig {
 }
 
 /// The three execution engines the machine offers: no caches at all, the
-/// decode cache + TLB alone, and the full superblock tier on top.
+/// decode table + TLB alone, and the full superblock tier on top.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Engine {
     Slow,

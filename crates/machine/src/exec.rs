@@ -9,7 +9,7 @@
 
 use crate::cpu::Cpu;
 use crate::dev::{DeviceSet, DmaOp, InterruptRequest};
-use crate::hotpath::{Cached, DecodeCache, FetchWin, Tlb};
+use crate::hotpath::{decoded, Cached, FetchWin, Tlb};
 use crate::isa::{decode, BinOp, BranchCond, Instr, Operand, UnOp};
 use crate::mem::{Memory, IO_BASE};
 use crate::mmu::{Access, Mmu, MmuAbort};
@@ -97,11 +97,10 @@ pub struct Machine {
     /// off unless the embedder enables it. Not part of machine state: the
     /// verification adapter's state vector never reads it.
     pub obs: Recorder,
-    /// Whether the fast-path caches are consulted. On by default; the
-    /// differential test suite runs both settings and pins them identical.
+    /// Whether the fast path (the process-wide decode table, the TLB and
+    /// the fetch window) is used. On by default; the differential test
+    /// suite runs both settings and pins them identical.
     hotpath: bool,
-    /// Decoded-instruction cache (pure memo of `decode`; never invalidates).
-    icache: DecodeCache,
     /// Software TLB, invalidated wholesale whenever the MMU generation
     /// moves (every PAR/PDR load).
     tlb: Tlb,
@@ -121,11 +120,13 @@ pub struct Machine {
     sb_dirty: bool,
 }
 
-/// Cloning resets the fast-path caches: they memoize pure functions, so an
-/// empty cache is always a valid (and cheap) starting point, and a cloned
-/// machine — a verify-template snapshot or a `FaultPolicy::Restart`
-/// re-image source — must behave byte-identically to a fresh boot. RAM is
-/// shared copy-on-write with the original until either side stores.
+/// Cloning resets the per-machine caches (TLB, fetch window, superblocks):
+/// they memoize pure functions, so an empty cache is always a valid (and
+/// cheap) starting point, and a cloned machine — a verify-template snapshot
+/// or a `FaultPolicy::Restart` re-image source — must behave
+/// byte-identically to a fresh boot. Decoding needs no reset: the decode
+/// table is process-wide. RAM is shared copy-on-write with the original
+/// until either side stores.
 impl Clone for Machine {
     fn clone(&self) -> Machine {
         Machine {
@@ -138,7 +139,6 @@ impl Clone for Machine {
             instructions: self.instructions,
             obs: self.obs.clone(),
             hotpath: self.hotpath,
-            icache: DecodeCache::new(),
             tlb: Tlb::new(),
             win: FetchWin::new(),
             superblocks: self.superblocks,
@@ -176,7 +176,6 @@ impl Machine {
             instructions: 0,
             obs: Recorder::disabled(),
             hotpath: true,
-            icache: DecodeCache::new(),
             tlb: Tlb::new(),
             win: FetchWin::new(),
             superblocks: true,
@@ -187,13 +186,13 @@ impl Machine {
         }
     }
 
-    /// Enables or disables the fast-path caches (decode cache + software
-    /// TLB + batched stepping). Turning the fast path off also drops any
-    /// cached entries, so a subsequent re-enable starts cold.
+    /// Enables or disables the fast path (decode table + software TLB +
+    /// batched stepping). Turning the fast path off also drops the
+    /// machine's cached translations and superblocks, so a subsequent
+    /// re-enable starts cold.
     pub fn set_hotpath(&mut self, on: bool) {
         self.hotpath = on;
         if !on {
-            self.icache = DecodeCache::new();
             self.tlb = Tlb::new();
             self.win = FetchWin::new();
             self.sb_drop_all();
@@ -206,7 +205,7 @@ impl Machine {
     }
 
     /// Enables or disables the superblock tier (hot-run compilation and
-    /// chaining on top of the decode cache). On by default, but inert
+    /// chaining on top of the decode table). On by default, but inert
     /// unless the fast path is also on. Turning it off drops all compiled
     /// blocks and the hotness profile, so a re-enable starts cold.
     pub fn set_superblocks(&mut self, on: bool) {
@@ -1029,9 +1028,10 @@ impl Machine {
         self.execute_inner(true)
     }
 
-    /// Fetches, decodes (through the i-cache when the fast path is on), and
-    /// dispatches one instruction. With `count_obs` false the recorder bump
-    /// is skipped — [`Machine::step_n`] batches it after the loop.
+    /// Fetches, decodes (through the decode table when the fast path is
+    /// on), and dispatches one instruction. With `count_obs` false the
+    /// recorder bump is skipped — [`Machine::step_n`] batches it after the
+    /// loop.
     ///
     /// The hot path runs the specialized register-direct forms inline with
     /// the same ALU helpers the generic dispatcher uses, so the two paths
@@ -1046,19 +1046,8 @@ impl Machine {
             }
             return self.dispatch(word, instr);
         }
-        let cached = match self.icache.get(word) {
-            Some(c) => {
-                self.obs.metrics.hotpath.icache_hits += 1;
-                c
-            }
-            None => {
-                self.obs.metrics.hotpath.icache_misses += 1;
-                let i = decode(word).ok_or(Trap::Illegal { word })?;
-                let c = Cached::specialize(i);
-                self.icache.fill(word, c);
-                c
-            }
-        };
+        let cached = decoded(word).ok_or(Trap::Illegal { word })?;
+        self.obs.metrics.hotpath.icache_hits += 1;
         self.instructions += 1;
         if count_obs {
             self.obs.instruction_retired();

@@ -1,22 +1,25 @@
-//! Fast-path caches for the execution engine: a decoded-instruction cache
-//! and a software TLB.
+//! Fast-path tables for the execution engine: the process-wide decode
+//! table and a software TLB.
 //!
-//! Both structures are *semantically invisible*: they memoize pure
-//! functions of architectural state and are consulted only when provably
-//! fresh. `decode` is a pure function of the 16-bit instruction word, so
-//! decode-cache entries never invalidate; a translation is a pure function
-//! of the segment descriptors, so TLB entries are valid exactly while the
-//! MMU's generation counter (bumped on every PAR/PDR load) is unchanged.
-//! Neither cache is part of modelled machine state — `Machine::clone`
-//! resets them, so a snapshot or a re-imaged partition behaves
-//! byte-identically to a fresh boot.
+//! Both are *semantically invisible*: they memoize pure functions of
+//! architectural state and are consulted only when provably fresh.
+//! `decode` is a pure function of the 16-bit instruction word, so one
+//! table serves every machine in the process and never invalidates; a
+//! translation is a pure function of the segment descriptors, so TLB
+//! entries are valid exactly while the MMU's generation counter (bumped on
+//! every PAR/PDR load) is unchanged. Neither is part of modelled machine
+//! state — `Machine::clone` resets the TLB and shares the decode table, so
+//! a snapshot or a re-imaged partition behaves byte-identically to a fresh
+//! boot.
 
-use crate::isa::{BinOp, BranchCond, Instr, Operand, UnOp};
+use std::sync::OnceLock;
+
+use crate::isa::{decode, BinOp, BranchCond, Instr, Operand, UnOp};
 use crate::psw::Mode;
 use crate::types::{PhysAddr, Word};
 
-/// Number of direct-mapped decode-cache slots (power of two).
-const DECODE_SLOTS: usize = 1024;
+/// Instruction words per decode-table chunk, and chunks in the table.
+const CHUNK: usize = 256;
 
 /// A decoded instruction pre-specialized for execution.
 ///
@@ -75,41 +78,27 @@ impl Cached {
     }
 }
 
-/// A lazy direct-mapped cache from instruction word to its specialized
-/// [`Cached`] form.
-///
-/// The backing store is allocated on first fill, so machines that never
-/// execute (checker snapshots, templates) pay nothing for carrying one.
-/// Entries carry the full word as tag — word 0 decodes to HALT, so there is
-/// no spare encoding for "empty" and slots hold `Option`s.
-#[derive(Debug, Default)]
-pub(crate) struct DecodeCache {
-    slots: Vec<Option<(Word, Cached)>>,
+/// The specialized decode of every instruction word, `None` for a word
+/// that does not decode. Built lazily one 256-word chunk at a time, so the
+/// process keeps resident only the opcode ranges its programs execute
+/// rather than all 65,536 entries.
+static DECODED: [OnceLock<Box<[Option<Cached>; CHUNK]>>; CHUNK] =
+    [const { OnceLock::new() }; CHUNK];
+
+/// `decode(word).map(Cached::specialize)`, served from the process-wide
+/// table.
+#[inline]
+pub(crate) fn decoded(word: Word) -> Option<Cached> {
+    let hi = (word >> 8) as usize;
+    DECODED[hi].get_or_init(|| decode_chunk(hi))[word as usize % CHUNK]
 }
 
-impl DecodeCache {
-    pub(crate) fn new() -> DecodeCache {
-        DecodeCache::default()
-    }
-
-    /// The cached decode of `word`, if present.
-    #[inline]
-    pub(crate) fn get(&self, word: Word) -> Option<Cached> {
-        match self.slots.get(word as usize & (DECODE_SLOTS - 1)) {
-            Some(&Some((tag, cached))) if tag == word => Some(cached),
-            _ => None,
-        }
-    }
-
-    /// Caches the specialized decode of `word`, evicting whatever shared
-    /// its slot.
-    #[inline]
-    pub(crate) fn fill(&mut self, word: Word, cached: Cached) {
-        if self.slots.is_empty() {
-            self.slots = vec![None; DECODE_SLOTS];
-        }
-        self.slots[word as usize & (DECODE_SLOTS - 1)] = Some((word, cached));
-    }
+/// Decodes and specializes the 256 words whose high byte is `hi`.
+#[cold]
+fn decode_chunk(hi: usize) -> Box<[Option<Cached>; CHUNK]> {
+    Box::new(std::array::from_fn(|lo| {
+        decode((hi * CHUNK + lo) as Word).map(Cached::specialize)
+    }))
 }
 
 /// One cached translation: the segment's resolved base, length, and write
@@ -272,18 +261,16 @@ fn mode_index(mode: Mode) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::decode;
 
     #[test]
-    fn decode_cache_round_trips_and_tags_exactly() {
-        let mut c = DecodeCache::new();
-        let halt = Cached::specialize(decode(0).unwrap());
-        assert_eq!(c.get(0), None);
-        c.fill(0, halt);
-        assert_eq!(c.get(0), Some(halt));
-        // A word that shares slot 0 modulo the table size must miss.
-        let aliasing = DECODE_SLOTS as Word;
-        assert_eq!(c.get(aliasing), None);
+    fn decode_table_matches_decode_for_every_word() {
+        for word in 0..=Word::MAX {
+            assert_eq!(
+                decoded(word),
+                decode(word).map(Cached::specialize),
+                "word {word:o}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The superblock compilation tier: pre-translated straight-line runs.
 //!
-//! PR 5's decode cache specializes one instruction at a time; this tier
+//! The decode table specializes one instruction at a time; this tier
 //! compiles *runs* of them. A hot basic block — detected by counting how
 //! often a backward control transfer lands on its entry — is translated
 //! once into a [`SuperBlock`]: a sequence of pre-specialized ops whose
@@ -10,7 +10,7 @@
 //! from block to block and the fetch/decode dispatcher is skipped entirely
 //! on warm traces.
 //!
-//! Like the decode cache and TLB, compiled blocks are derivable state,
+//! Like the decode table and TLB, compiled blocks are derivable state,
 //! never modelled state. Three guards keep them semantically invisible:
 //!
 //! * **Generation.** A block's fetch span was translated under one MMU

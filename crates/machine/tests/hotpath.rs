@@ -1,6 +1,6 @@
 //! Differential suite for the fast-path execution engine.
 //!
-//! The decode cache and software TLB memoize pure functions, and `step_n`
+//! The decode table and software TLB memoize pure functions, and `step_n`
 //! batches bookkeeping; none of it may be architecturally visible. Every
 //! test here runs the same workload with the caches on and off (or batched
 //! and unbatched) and pins the results identical — final CPU state, memory,
@@ -47,7 +47,7 @@ fn observable(m: &mut Machine, event: Event) -> (Event, String, u64, u64, Vec<u1
 }
 
 const WORKLOADS: [&str; 4] = [
-    // Tight register loop: maximal decode-cache reuse.
+    // Tight register loop: maximal decode-table reuse.
     "
         CLR R0
         MOV #100, R1
@@ -100,21 +100,39 @@ fn caches_on_and_off_execute_identically() {
         slow.set_hotpath(false);
         let ev_slow = slow.run_until_event(10_000).expect("slow run halts").0;
 
+        let expected = observable(&mut slow, ev_slow);
         assert_eq!(
             observable(&mut fast, ev_fast),
-            observable(&mut slow, ev_slow),
+            expected,
             "workload {i}: caches changed the architecture"
         );
         if src.contains("loop:") {
             assert!(
                 fast.obs.metrics.hotpath.icache_hits > 0,
-                "workload {i}: the fast run never hit its decode cache"
+                "workload {i}: the fast run never used the decode table"
             );
         }
         assert_eq!(
             slow.obs.metrics.hotpath.icache_hits + slow.obs.metrics.hotpath.tlb_hits,
             0,
             "workload {i}: the slow run consulted a cache"
+        );
+
+        // With the tier off, every retired instruction is decoded through
+        // the process-wide table, which never misses.
+        let mut decode = machine_with(src);
+        decode.set_superblocks(false);
+        let ev_decode = decode.run_until_event(10_000).expect("decode run halts").0;
+        let hp = &decode.obs.metrics.hotpath;
+        assert_eq!(
+            (hp.icache_hits, hp.icache_misses),
+            (decode.instructions, 0),
+            "workload {i}: decode-table lookups must equal retired instructions"
+        );
+        assert_eq!(
+            observable(&mut decode, ev_decode),
+            expected,
+            "workload {i}: the decode table changed the architecture"
         );
     }
 }
@@ -441,7 +459,7 @@ fn io_page_segment_reads_the_device_not_a_cached_value() {
 }
 
 // ---------------------------------------------------------------------------
-// Superblock tier: the compiled-trace layer above the decode cache. Every
+// Superblock tier: the compiled-trace layer above the decode table. Every
 // test pins the tier byte-identical to the slow path; several then assert
 // the tier actually engaged, so the equality means something.
 // ---------------------------------------------------------------------------
@@ -479,7 +497,7 @@ fn mapped_with(src: &str, len: u32) -> Machine {
 
 #[test]
 fn superblock_tier_executes_workloads_identically() {
-    // Three-way sweep: slow step loop, decode-cache-only step_n, and the
+    // Three-way sweep: slow step loop, decode-table-only step_n, and the
     // full tier, in awkward batch sizes so blocks straddle batch edges.
     for (i, src) in WORKLOADS.iter().enumerate() {
         let mut slow = machine_with(src);

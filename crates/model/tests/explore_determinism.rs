@@ -6,7 +6,7 @@
 //! stats projection shard-count-invariant.
 
 use sep_bench::symmetric_workload;
-use sep_kernel::verify::KernelSystem;
+use sep_kernel::verify::{canon_key, KernelSystem};
 use sep_model::canon::{Ample, Reduction};
 use sep_model::demo::{DemoMachine, Leak};
 use sep_model::explore::{reachable_states, SampledChecker};
@@ -243,6 +243,11 @@ fn kernel_reductions_are_shard_invariant() {
         .with_symmetry(true)
         .with_por(true);
     let reference: HashSet<_> = sys.states().into_iter().collect();
+    // A state's stored vector is its rotation-0 symmetry vector, so the
+    // canonical key's identity term is the state's own fingerprint.
+    for s in &reference {
+        assert_eq!(canon_key(&[], s), fingerprint(s), "{s:?}");
+    }
     let mut first: Option<(Vec<_>, _)> = None;
     let inputs = sys.inputs().len();
     for shards in [1, 2, 4, 8] {

@@ -26,11 +26,12 @@
 //! dev-only dependency cycle Cargo permits).
 
 use sep_bench::{memory_workload, register_workload, symmetric_workload};
-use sep_kernel::config::{KernelConfig, Mutation, RegimeSpec, SchedPolicy};
+use sep_kernel::config::{DeviceSpec, KernelConfig, Mutation, RegimeSpec, SchedPolicy};
 use sep_kernel::regime::FaultPolicy;
 use sep_kernel::verify::{CheckerSelect, KernelSystem};
 use sep_model::check::{CheckReport, Condition};
 use sep_model::fp::{BloomParams, Dedup};
+use sep_model::system::Finite;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -182,6 +183,24 @@ fn restartable_workload() -> KernelConfig {
     ])
 }
 
+/// Two identical regimes that each enable their serial line's transmit
+/// interrupt (`CSR_IE` in XCSR) and write XBUF: the transmitter's request
+/// arrives on the device's second vector, so explored states carry a
+/// pending interrupt on vector slot 1 (binding 0's transmit side).
+fn transmit_interrupt_workload() -> KernelConfig {
+    let prog = "
+start:  MOV #0o100, @#0o160004  ; XCSR: transmit interrupt enable
+        MOVB #101, @#0o160006   ; XBUF
+        TRAP 0
+        BR start
+";
+    KernelConfig::new(
+        (0..2)
+            .map(|i| RegimeSpec::assembly(&format!("tx{i}"), prog).with_device(DeviceSpec::Serial))
+            .collect(),
+    )
+}
+
 #[test]
 fn memory_workload_is_reduction_invariant() {
     let report = assert_reduction_differential(|| memory_workload(2), &[], false, "memory(2)");
@@ -212,6 +231,40 @@ fn symmetric_workload_with_inputs_is_reduction_invariant() {
     let report =
         assert_reduction_differential(|| symmetric_workload(2), &[1], false, "symmetric(2)");
     assert!(report.is_separable(), "symmetric(2): {report}");
+}
+
+#[test]
+fn transmit_interrupts_are_reduction_invariant() {
+    // Each serial line owns two vector slots (receive, transmit), so the
+    // symmetry key must find a pending interrupt's binding at slot / 2.
+    // Engagement guard: the unreduced space really holds a slot-1
+    // interrupt, and the rotation the reduction quotients by is valid.
+    let sys = system(transmit_interrupt_workload(), &[], false, COMBOS[0]);
+    assert_eq!(sys.valid_rotations(), vec![1], "symmetry must apply");
+    let states = sys.states();
+    assert!(
+        states.iter().any(|s| s
+            .kernel
+            .regimes
+            .iter()
+            .any(|r| r.pending_irqs.iter().any(|&(slot, _)| slot == 1))),
+        "no explored state holds a transmit (slot 1) interrupt"
+    );
+    let reference =
+        assert_reduction_differential(transmit_interrupt_workload, &[], false, "transmit-irq");
+    let reduced = system(
+        transmit_interrupt_workload(),
+        &[],
+        false,
+        (true, false, false),
+    )
+    .check_with(&CheckerSelect::Sharded { shards: 1 });
+    assert!(
+        reduced.states < reference.states,
+        "symmetry pruned nothing: {} of {}",
+        reduced.states,
+        reference.states
+    );
 }
 
 #[test]

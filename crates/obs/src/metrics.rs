@@ -57,7 +57,7 @@ pub struct DeviceCounters {
 /// Counters for the machine's fast-path caches.
 ///
 /// These measure *how* a result was computed, never *what* was computed:
-/// the decoded-instruction cache, the software TLB and the superblock tier
+/// the decode table, the software TLB and the superblock tier
 /// are semantically invisible. They are
 /// therefore kept out of the default run-report serialization
 /// ([`crate::report::metrics_json`]) — a report must be byte-identical
@@ -65,9 +65,12 @@ pub struct DeviceCounters {
 /// bench via [`crate::report::hotpath_json`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HotPathCounters {
-    /// Decoded-instruction cache hits.
+    /// Fast-path instruction decodes served by the process-wide decode
+    /// table: one per instruction the decode path retires, so with the
+    /// superblock tier off it equals the instruction count.
     pub icache_hits: u64,
-    /// Decoded-instruction cache misses (full decode performed).
+    /// Always 0: the decode table has no misses. Kept only because
+    /// layerbench's `machine.icache_hit_pm` reads it.
     pub icache_misses: u64,
     /// Software-TLB hits (translation served without walking PAR/PDR).
     pub tlb_hits: u64,
