@@ -111,11 +111,17 @@ fn main() {
             // in a run of its own, and the six conditions as the rest of
             // the check. The two times come from separate runs, so the
             // difference is clamped at zero against timing noise.
+            // What a checker state costs: the production check's time
+            // per explored state, in microseconds.
             // Machine-dependent, so it lives in `wall`.
             let (_, explore_ms) = timed(|| sys.explore_sharded(SHARDS));
             report = report
                 .wall_ms(&format!("{run}_explore"), explore_ms)
-                .wall_ms(&format!("{run}_cond"), (par_ms - explore_ms).max(0.0));
+                .wall_ms(&format!("{run}_cond"), (par_ms - explore_ms).max(0.0))
+                .wall(
+                    &format!("{run}_us_per_state"),
+                    par_ms * 1000.0 / par.states as f64,
+                );
         }
     }
 

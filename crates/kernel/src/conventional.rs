@@ -139,9 +139,7 @@ impl ConventionalKernel {
     ) -> ProcessId {
         let name = process.name().to_string();
         let subject = self.engine.add_subject(&name, clearance, trusted);
-        self.obs
-            .metrics
-            .register_regime(self.processes.len(), &name);
+        self.obs.metrics.register_regime(self.processes.len(), name);
         self.processes.push(ProcessRecord {
             subject,
             process,

@@ -29,7 +29,7 @@ use sep_machine::dev::crypto::CryptoUnit;
 use sep_machine::dev::dma::DmaDisk;
 use sep_machine::dev::printer::LinePrinter;
 use sep_machine::dev::serial::SerialLine;
-use sep_machine::dev::InterruptRequest;
+use sep_machine::dev::{Device, InterruptRequest};
 use sep_machine::exec::{Event, Machine, Trap};
 use sep_machine::mem::{IO_BASE, PAGE_SIZE};
 use sep_machine::mmu::{Access, SegmentDescriptor};
@@ -316,7 +316,7 @@ impl SeparationKernel {
                 let base = window_base + offset;
                 let vector = vector_next;
                 vector_next += 0o20;
-                let boxed: Box<dyn sep_machine::dev::Device> = match d {
+                let boxed: Box<dyn Device> = match d {
                     DeviceSpec::Serial => Box::new(SerialLine::new(
                         &format!("{}-tty{}", spec.name, slot_pos),
                         base,
@@ -394,13 +394,13 @@ impl SeparationKernel {
             };
 
             regimes.push(RegimeRecord {
-                name: spec.name.clone(),
+                name: spec.name.as_str().into(),
                 logical_id: spec.logical.unwrap_or(i),
                 status: RegimeStatus::Ready,
                 save: SaveArea::boot(),
                 partition_base,
                 window_base,
-                devices: bindings,
+                devices: bindings.into(),
                 pending_irqs: Default::default(),
                 native,
                 fault_policy: spec.fault_policy,
@@ -442,21 +442,21 @@ impl SeparationKernel {
         // "regime0"/"regime1"; the machine itself never learns regimes.
         for i in 0..kernel.regimes.len() {
             let name = kernel.regimes[i].name.clone();
-            kernel.machine.obs.metrics.register_regime(i, &name);
+            kernel.machine.obs.metrics.register_regime(i, name);
         }
         for idx in 0..kernel.machine.devices.len() {
             // Every index below `len` was just attached; a hole here is a
             // kernel bug, and silently registering a nameless device would
             // only bury it (satellite of the fault PR: no defaulted
             // lookups on kernel paths).
-            let name = kernel
+            let name: std::sync::Arc<str> = kernel
                 .machine
                 .devices
-                .get_mut(idx)
+                .get(idx)
                 .expect("attached device present")
                 .name()
-                .to_string();
-            kernel.machine.obs.metrics.register_device(idx, &name);
+                .into();
+            kernel.machine.obs.metrics.register_device(idx, name);
         }
         if let Some(capacity) = config.trace {
             kernel.machine.obs.enable_tracing(capacity);
@@ -1406,13 +1406,7 @@ impl SeparationKernel {
             .map(|rec| {
                 rec.devices
                     .iter()
-                    .map(|b| {
-                        self.machine
-                            .devices
-                            .get(b.machine_index)
-                            .expect("bound device present")
-                            .snapshot()
-                    })
+                    .map(|b| self.bound_device(b).snapshot())
                     .collect()
             })
             .collect();
@@ -1422,22 +1416,14 @@ impl SeparationKernel {
                 movable[i].clone();
             let base = self.regimes[j].partition_base;
             self.machine.mem.set_page(base, partitions[i].clone());
-            let dests: Vec<usize> = self.regimes[j]
-                .devices
-                .iter()
-                .map(|b| b.machine_index)
-                .collect();
+            let dests = self.regimes[j].devices.clone();
             assert_eq!(
                 dests.len(),
                 device_states[i].len(),
                 "rotation requires identically-shaped device lists"
             );
-            for (dev_idx, snap) in dests.into_iter().zip(&device_states[i]) {
-                self.machine
-                    .devices
-                    .get_mut(dev_idx)
-                    .expect("bound device present")
-                    .restore(snap);
+            for (b, snap) in dests.iter().zip(&device_states[i]) {
+                self.bound_device_mut(b).restore(snap);
             }
             let rec = &mut self.regimes[j];
             rec.status = status;
@@ -1489,15 +1475,28 @@ impl SeparationKernel {
     ///
     /// `partition_fps` is [`Self::partition_fingerprints`]. Taking it as an
     /// argument lets a caller that keys every rotation hash each partition
-    /// exactly once, so canonicalization costs one extra hash of the small
-    /// control vector per rotation, not a re-hash of memory. Name-freedom
-    /// matters because identically-imaged regimes differ only by name: a
-    /// name salt would make every orbit trivial.
+    /// exactly once. Name-freedom matters because identically-imaged
+    /// regimes differ only by name: a name salt would make every orbit
+    /// trivial.
+    ///
+    /// A thin wrapper over the kernel's one state encoder, which also
+    /// serves `verify::canon_key`: that encodes once and rotates the
+    /// encoded parts for every rotation it keys.
     pub fn symmetry_vector(&self, k: usize, partition_fps: &[u64]) -> Vec<u64> {
-        let n = self.regimes.len();
-        let k = if n == 0 { 0 } else { k % n };
+        let parts = self.symmetry_parts(partition_fps);
+        if k.is_multiple_of(self.regimes.len()) {
+            return parts.words;
+        }
+        let mut v = Vec::with_capacity(parts.words.len());
+        parts.rotate_into(k, &mut v);
+        v
+    }
+
+    /// The state encoder: the rotation-0 symmetry vector, cut into the
+    /// parts a rotation permutes.
+    pub(crate) fn symmetry_parts(&self, partition_fps: &[u64]) -> SymmetryParts {
         let mut v = Vec::new();
-        v.push(((self.current + k) % n.max(1)) as u64);
+        v.push(self.current as u64);
         v.push(self.quantum_left);
         v.push(self.slot_idle_left);
         v.extend(self.sched.state_words());
@@ -1509,10 +1508,11 @@ impl SeparationKernel {
         v.push(self.machine.cpu.sp_of(Mode::User) as u64);
         v.push(self.machine.cpu.pc as u64);
         v.push(self.machine.cpu.psw.0 as u64);
-        for j in 0..n {
-            // The record whose movable contents occupy slot j post-rotation.
-            let src = (j + n - k) % n;
-            let rec = &self.regimes[src];
+        // One segment per slot, a function of that slot's movable contents
+        // only: a rotation permutes whole segments.
+        let mut starts = Vec::with_capacity(self.regimes.len() + 1);
+        for (i, rec) in self.regimes.iter().enumerate() {
+            starts.push(v.len());
             v.push(match rec.status {
                 RegimeStatus::Ready => 0,
                 RegimeStatus::Waiting => 1,
@@ -1537,28 +1537,80 @@ impl SeparationKernel {
                 v.push(slot as u64);
                 v.push(req.vector.wrapping_sub(irq_vector_base(rec, slot)) as u64);
             }
-            v.push(partition_fps[src]);
+            v.push(partition_fps[i]);
             if let Some(nat) = &rec.native {
-                v.push(fnv(&nat.state_bytes()));
+                v.push(fnv(nat.state_bytes()));
             }
             // Device state moves with the regime contents; emit it in slot
             // order rather than machine attach order.
-            for b in &rec.devices {
-                if let Some(d) = self.machine.devices.get(b.machine_index) {
-                    let bytes: Vec<u8> =
-                        d.snapshot().iter().flat_map(|w| w.to_le_bytes()).collect();
-                    v.push(fnv(&bytes));
-                }
+            for b in rec.devices.iter() {
+                let snapshot = self.bound_device(b).snapshot();
+                v.push(fnv(snapshot.iter().flat_map(|w| w.to_le_bytes())));
             }
         }
+        starts.push(v.len());
         for ch in &self.channels {
             v.push(ch.queue().len() as u64);
             v.push(ch.latched_full as u64);
             for msg in ch.queue() {
-                v.push(fnv(msg));
+                v.push(fnv(msg.iter().copied()));
             }
         }
-        v
+        SymmetryParts { words: v, starts }
+    }
+
+    /// The device a regime's binding names. A binding's machine index is
+    /// valid by construction; a stale one is a kernel bug, which skipping
+    /// the device or defaulting its snapshot to empty would mask as "two
+    /// devices agree". Every kernel and verification path that resolves a
+    /// binding goes through here or [`Self::bound_device_mut`].
+    pub(crate) fn bound_device(&self, b: &DeviceBinding) -> &dyn Device {
+        self.machine
+            .devices
+            .get(b.machine_index)
+            .expect("bound device present")
+    }
+
+    /// [`Self::bound_device`], mutably.
+    pub(crate) fn bound_device_mut(&mut self, b: &DeviceBinding) -> &mut dyn Device {
+        &mut **self
+            .machine
+            .devices
+            .get_mut(b.machine_index)
+            .expect("bound device present")
+    }
+}
+
+/// The rotation-0 symmetry vector cut into the parts a rotation permutes:
+/// `words[..starts[0]]` is the header (scheduler state and the live CPU
+/// context, the current slot in word 0), `words[starts[j]..starts[j + 1]]`
+/// is slot `j`'s segment, and `words[starts[n]..]` is the channel tail.
+pub(crate) struct SymmetryParts {
+    words: Vec<u64>,
+    starts: Vec<usize>,
+}
+
+impl SymmetryParts {
+    /// The unrotated words: [`SeparationKernel::state_vector`].
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Writes the symmetry vector of rotation `k` into `out` (cleared
+    /// first, so one buffer serves every rotation): the header with the
+    /// current slot shifted by `k`, slot `j` carrying the segment of slot
+    /// `(j - k) mod n`, then the tail.
+    pub(crate) fn rotate_into(&self, k: usize, out: &mut Vec<u64>) {
+        let n = self.starts.len() - 1;
+        let k = if n == 0 { 0 } else { k % n };
+        out.clear();
+        out.extend_from_slice(&self.words[..self.starts[0]]);
+        out[0] = (out[0] + k as u64) % n.max(1) as u64;
+        for j in 0..n {
+            let src = (j + n - k) % n;
+            out.extend_from_slice(&self.words[self.starts[src]..self.starts[src + 1]]);
+        }
+        out.extend_from_slice(&self.words[self.starts[n]..]);
     }
 }
 
@@ -1572,11 +1624,11 @@ fn irq_vector_base(rec: &RegimeRecord, slot: usize) -> Word {
     rec.devices.get(slot / 2).map_or(0, |b| b.vector)
 }
 
-/// FNV-1a over a byte slice.
-fn fnv(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte stream.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
-        h ^= *b as u64;
+        h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h

@@ -5,6 +5,7 @@ use core::any::Any;
 use sep_machine::dev::InterruptRequest;
 use sep_machine::exec::Trap;
 use sep_machine::types::{PhysAddr, Word};
+use std::sync::Arc;
 
 /// Virtual address of a regime's interrupt vector table (inside its own
 /// partition). Slot `k` occupies two words at `VEC_BASE + 4k`: the handler
@@ -153,9 +154,13 @@ pub struct DeviceBinding {
 }
 
 /// The kernel's record of one regime.
+///
+/// The name and device bindings are fixed at boot and shared through
+/// `Arc`s, so cloning a kernel (as every checker successor does) bumps
+/// refcounts for them instead of allocating.
 pub struct RegimeRecord {
     /// Display name.
-    pub name: String,
+    pub name: Arc<str>,
     /// The regime's logical identity (stable across sub-configurations, so
     /// a single-regime abstract machine answers MYID identically).
     pub logical_id: usize,
@@ -168,7 +173,7 @@ pub struct RegimeRecord {
     /// Physical base of its device window in the I/O page.
     pub window_base: PhysAddr,
     /// Its devices.
-    pub devices: Vec<DeviceBinding>,
+    pub devices: Arc<[DeviceBinding]>,
     /// Interrupts fielded by the kernel, waiting for delivery to this
     /// regime (vector slot, request). Each device owns two vector slots,
     /// `2 * i` for its first vector and `2 * i + 1` for its second, so the
@@ -185,7 +190,7 @@ pub struct RegimeRecord {
     pub watchdog: Option<u64>,
     /// The partition's page as loaded at boot, shared (not duplicated) by
     /// every clone of the kernel; what a restart re-images from.
-    pub boot_image: std::sync::Arc<sep_machine::Page>,
+    pub boot_image: Arc<sep_machine::Page>,
     /// A pristine copy of the native program for restarts (present only
     /// when the policy is Restart and the regime is native).
     pub native_boot: Option<Box<dyn NativeRegime>>,

@@ -38,28 +38,41 @@ use sep_model::fp::{fingerprint, Dedup};
 use sep_model::parallel::{ExploreStats, ParallelSeparabilityChecker};
 use sep_model::system::{Finite, Projected, SharedSystem};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A kernel state, hashable and comparable through its canonical state
 /// vector.
+///
+/// The vector is encoded on first use (`==` or hashing), not at
+/// construction: most checker states are only projected or compared
+/// through [`Abstraction::phi_eq`], and never pay for it. Nothing mutates a
+/// state's kernel after construction, so the lazy vector equals the one
+/// [`SeparationKernel::state_vector`] gives at construction.
 #[derive(Clone)]
 pub struct KernelState {
-    /// The full kernel (machine, regimes, channels).
+    /// The full kernel (machine, regimes, channels). Read-only: equality
+    /// and hashing go through the vector encoded from it.
     pub kernel: SeparationKernel,
-    vector: Vec<u64>,
+    vector: OnceLock<Vec<u64>>,
 }
 
 impl KernelState {
-    /// Wraps a kernel, capturing its state vector.
+    /// Wraps a kernel; its state vector is encoded on first use.
     pub fn new(kernel: SeparationKernel) -> KernelState {
-        let vector = kernel.state_vector();
-        KernelState { kernel, vector }
+        KernelState {
+            kernel,
+            vector: OnceLock::new(),
+        }
+    }
+
+    fn vector(&self) -> &[u64] {
+        self.vector.get_or_init(|| self.kernel.state_vector())
     }
 }
 
 impl PartialEq for KernelState {
     fn eq(&self, other: &Self) -> bool {
-        self.vector == other.vector
+        self.vector() == other.vector()
     }
 }
 
@@ -67,7 +80,7 @@ impl Eq for KernelState {}
 
 impl Hash for KernelState {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.vector.hash(state);
+        self.vector().hash(state);
     }
 }
 
@@ -488,14 +501,19 @@ fn program_asks_identity(src: &str) -> bool {
 /// kernel's rotation-invariant [`SeparationKernel::symmetry_vector`].
 /// States equal up to a valid rotation share this key, so the sharded
 /// explorer's seen-sets collapse each orbit to its first-discovered member.
-/// The identity term is the state's own fingerprint, since its stored
-/// vector is the rotation-0 one; each partition is hashed once per key,
-/// whatever the rotation count.
+///
+/// The kernel is encoded once per key: every rotation is a permutation of
+/// the encoded parts, copied into one reused buffer. The identity term is
+/// the state's own fingerprint `fingerprint(s)`, taken from the unrotated
+/// words (a [`KernelState`] hashes as exactly those words), so keying a
+/// state leaves its lazy vector unset.
 pub fn canon_key(rotations: &[usize], s: &KernelState) -> u128 {
-    let fps = s.kernel.partition_fingerprints();
-    let mut best = fingerprint(s);
+    let parts = s.kernel.symmetry_parts(&s.kernel.partition_fingerprints());
+    let mut best = fingerprint(&parts.words());
+    let mut rotated = Vec::with_capacity(parts.words().len());
     for &k in rotations {
-        best = best.min(fingerprint(&s.kernel.symmetry_vector(k, &fps)));
+        parts.rotate_into(k, &mut rotated);
+        best = best.min(fingerprint(&rotated));
     }
     best
 }
@@ -553,13 +571,10 @@ impl SharedSystem for KernelSystem {
             .regimes
             .iter()
             .map(|rec| {
-                let mut out = Vec::new();
-                for b in &rec.devices {
-                    if let Some(d) = s.kernel.machine.devices.get(b.machine_index) {
-                        out.extend(d.snapshot());
-                    }
-                }
-                out
+                rec.devices
+                    .iter()
+                    .flat_map(|b| s.kernel.bound_device(b).snapshot())
+                    .collect()
             })
             .collect()
     }
@@ -799,17 +814,7 @@ impl RegimeAbstraction {
         let devices = rec
             .devices
             .iter()
-            .map(|b| {
-                // A binding's machine index is valid by construction; a
-                // stale one is a kernel bug that an empty default snapshot
-                // would mask as "two devices agree".
-                kernel
-                    .machine
-                    .devices
-                    .get(b.machine_index)
-                    .expect("bound device present")
-                    .snapshot()
-            })
+            .map(|b| kernel.bound_device(b).snapshot())
             .collect();
         let channels = visible_channels
             .iter()
@@ -853,9 +858,7 @@ impl RegimeAbstraction {
         // Devices.
         let bindings = k.regimes[0].devices.clone();
         for (binding, snap) in bindings.iter().zip(&a.devices) {
-            if let Some(d) = k.machine.devices.get_mut(binding.machine_index) {
-                d.restore(snap);
-            }
+            k.bound_device_mut(binding).restore(snap);
         }
         // Fault-recovery state.
         k.regimes[0].restarts_used = a.restarts_used;
@@ -961,23 +964,8 @@ impl Abstraction<KernelSystem> for RegimeAbstraction {
         if r1.devices.len() != r2.devices.len() {
             return false;
         }
-        for (b1, b2) in r1.devices.iter().zip(&r2.devices) {
-            // Same invariant as `project`: a binding always resolves, and
-            // defaulting both sides to empty would turn a kernel bug into a
-            // spurious equality.
-            let d1 = k1
-                .machine
-                .devices
-                .get(b1.machine_index)
-                .expect("bound device present")
-                .snapshot();
-            let d2 = k2
-                .machine
-                .devices
-                .get(b2.machine_index)
-                .expect("bound device present")
-                .snapshot();
-            if d1 != d2 {
+        for (b1, b2) in r1.devices.iter().zip(r2.devices.iter()) {
+            if k1.bound_device(b1).snapshot() != k2.bound_device(b2).snapshot() {
                 return false;
             }
         }
@@ -1096,6 +1084,88 @@ start:  ADD #2, R1
             assert_eq!(seq, par, "shards {shards}");
             let stats = stats.expect("sharded runs report stats");
             assert_eq!(stats.states, seq.states);
+        }
+    }
+
+    #[test]
+    fn successors_leave_their_vector_unencoded() {
+        let sys = KernelSystem::new(two_counters()).unwrap();
+        let s0 = sys.initial();
+        let mid = sys.consume(&s0, &KInput(vec![Some(1), None]));
+        assert!(mid.vector.get().is_none(), "consume encoded its state");
+        for op in [KOp::Step, KOp::Fault] {
+            let after = sys.apply(&op, &mid);
+            assert!(after.vector.get().is_none(), "apply({op:?}) encoded");
+        }
+    }
+
+    #[test]
+    fn lazy_and_eager_vectors_compare_and_hash_alike() {
+        let sys = KernelSystem::new(two_bounded_counters()).unwrap();
+        let hash = |s: &KernelState| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let eager = |s: &KernelState| KernelState {
+            kernel: s.kernel.clone(),
+            vector: OnceLock::from(s.kernel.state_vector()),
+        };
+        let lazy = |s: &KernelState| KernelState::new(s.kernel.clone());
+        let states: Vec<KernelState> = sys.states().into_iter().take(12).collect();
+        for s in &states {
+            // The lazy copy forced by hashing, then compared.
+            let l = lazy(s);
+            assert_eq!(hash(&l), hash(&eager(s)));
+            assert!(l == eager(s));
+            // The lazy copy forced by `==`, from either side, then hashed.
+            let l = lazy(s);
+            assert!(l == eager(s));
+            assert_eq!(hash(&l), hash(&eager(s)));
+            let l = lazy(s);
+            assert!(eager(s) == l);
+            assert!(lazy(s) == lazy(s));
+            // Distinct states stay distinct across encodings.
+            for t in &states {
+                let same = s.kernel.state_vector() == t.kernel.state_vector();
+                assert_eq!(lazy(s) == eager(t), same);
+                assert_eq!(eager(s) == lazy(t), same);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_clones_share_configuration_constants() {
+        use sep_machine::dev::serial::SerialLine;
+        let cfg = KernelConfig::new(vec![
+            RegimeSpec::assembly("red", "start: TRAP 0\n BR start")
+                .with_device(crate::config::DeviceSpec::Serial)
+                .with_device(crate::config::DeviceSpec::Serial),
+            RegimeSpec::assembly("black", "start: TRAP 0\n BR start")
+                .with_device(crate::config::DeviceSpec::Serial),
+        ]);
+        let sys = KernelSystem::new(cfg).unwrap();
+        let s = sys.initial();
+        let mut k = s.kernel.clone();
+        for (a, b) in s.kernel.regimes.iter().zip(&k.regimes) {
+            assert!(Arc::ptr_eq(&a.name, &b.name), "regime name copied");
+            assert!(Arc::ptr_eq(&a.devices, &b.devices), "bindings copied");
+        }
+        let (m1, m2) = (&s.kernel.machine.obs.metrics, &k.machine.obs.metrics);
+        assert_eq!(m1.regimes().len(), 2);
+        for (a, b) in m1.regimes().iter().zip(m2.regimes()) {
+            assert!(Arc::ptr_eq(&a.0, &b.0), "metric regime name copied");
+        }
+        assert_eq!(m1.devices().len(), 3);
+        for (a, b) in m1.devices().iter().zip(m2.devices()) {
+            assert!(Arc::ptr_eq(&a.0, &b.0), "metric device name copied");
+        }
+        assert_eq!(k.machine.devices.len(), 3);
+        for idx in 0..3 {
+            assert!(k.machine.devices.downcast_mut::<SerialLine>(idx).is_some());
+            let a = s.kernel.machine.devices.get(idx).unwrap().name();
+            let b = k.machine.devices.get(idx).unwrap().name();
+            assert!(std::ptr::eq(a, b), "serial-line name copied");
         }
     }
 

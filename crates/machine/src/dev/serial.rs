@@ -11,6 +11,7 @@ use crate::dev::{Device, InterruptRequest};
 use crate::types::{PhysAddr, Word};
 use core::any::Any;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// RCSR/XCSR bit 7: done/ready.
 pub const CSR_DONE: Word = 0o200;
@@ -27,7 +28,8 @@ pub const RX_CAPACITY: usize = 256;
 /// A serial line unit.
 #[derive(Debug, Clone)]
 pub struct SerialLine {
-    name: String,
+    /// Fixed at construction and shared by every clone.
+    name: Arc<str>,
     base: PhysAddr,
     vector: Word,
     priority: u8,
@@ -54,7 +56,7 @@ impl SerialLine {
     /// bus priority.
     pub fn new(name: &str, base: PhysAddr, vector: Word, priority: u8) -> SerialLine {
         SerialLine {
-            name: name.to_string(),
+            name: name.into(),
             base,
             vector,
             priority,

@@ -210,8 +210,11 @@ where
             frontier[range]
                 .iter()
                 .map(|s| {
+                    // `step` without the output it would build and the
+                    // explorer would discard.
                     let expand = |i: &S::Input| {
-                        let next = sys.step(s, i).1;
+                        let mid = sys.consume(s, i);
+                        let next = sys.apply(&sys.next_op(&mid), &mid);
                         (key_of(reduction, &next), next)
                     };
                     match reduction.ample {

@@ -28,9 +28,9 @@
 use sep_bench::{memory_workload, register_workload, symmetric_workload};
 use sep_kernel::config::{DeviceSpec, KernelConfig, Mutation, RegimeSpec, SchedPolicy};
 use sep_kernel::regime::FaultPolicy;
-use sep_kernel::verify::{CheckerSelect, KernelSystem};
+use sep_kernel::verify::{canon_key, CheckerSelect, KernelSystem};
 use sep_model::check::{CheckReport, Condition};
-use sep_model::fp::{BloomParams, Dedup};
+use sep_model::fp::{fingerprint, BloomParams, Dedup};
 use sep_model::system::Finite;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -199,6 +199,54 @@ start:  MOV #0o100, @#0o160004  ; XCSR: transmit interrupt enable
             .map(|i| RegimeSpec::assembly(&format!("tx{i}"), prog).with_device(DeviceSpec::Serial))
             .collect(),
     )
+}
+
+/// Pins the rotation encoding the symmetry key is built from, on every
+/// reachable state: `symmetry_vector(k)` is the state vector of the kernel
+/// after `rotate_regime_contents(k)`, for every `k`, and `canon_key` is the
+/// minimum fingerprint of the identity and valid-rotation symmetry vectors.
+/// The second property fixes the seen-set key values themselves.
+#[test]
+fn rotation_encoding_matches_rotated_kernels_and_keys() {
+    let families: [(&str, KernelConfig, &[u8]); 3] = [
+        ("symmetric(2)", symmetric_workload(2), &[7, 9]),
+        ("symmetric(3)", symmetric_workload(3), &[7, 9]),
+        ("transmit-irq", transmit_interrupt_workload(), &[]),
+    ];
+    for (label, cfg, bytes) in families {
+        let sys = system(cfg, bytes, false, COMBOS[0]);
+        let rots = sys.valid_rotations();
+        let n = sys.template.regimes.len();
+        assert_eq!(
+            rots,
+            (1..n).collect::<Vec<_>>(),
+            "{label}: symmetry must apply"
+        );
+        let states = sys.states();
+        for (idx, s) in states.iter().enumerate() {
+            let fps = s.kernel.partition_fingerprints();
+            assert_eq!(
+                s.kernel.symmetry_vector(0, &fps),
+                s.kernel.state_vector(),
+                "{label}, state {idx}: rotation 0 is not the state vector"
+            );
+            let mut key = fingerprint(&s.kernel.symmetry_vector(0, &fps));
+            for k in 0..n {
+                let mut rotated = s.kernel.clone();
+                rotated.rotate_regime_contents(k);
+                let encoded = s.kernel.symmetry_vector(k, &fps);
+                assert_eq!(
+                    encoded,
+                    rotated.state_vector(),
+                    "{label}, state {idx}, rotation {k}"
+                );
+                if rots.contains(&k) {
+                    key = key.min(fingerprint(&encoded));
+                }
+            }
+            assert_eq!(canon_key(&rots, s), key, "{label}, state {idx}: key value");
+        }
+    }
 }
 
 #[test]

@@ -5,6 +5,10 @@
 //! always, unlike tracing. Regime and device slots are registered by the
 //! embedder at boot (index → name); incrementing an unregistered index
 //! grows the table with a placeholder name so hot paths never check.
+//! Names are shared `Arc<str>`s, so cloning a registry (every checker
+//! successor clones its kernel's) bumps refcounts instead of copying them.
+
+use std::sync::Arc;
 
 /// Counters for one regime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -134,8 +138,8 @@ pub struct Metrics {
     /// Fast-path cache counters (excluded from the default report
     /// serialization; see [`HotPathCounters`]).
     pub hotpath: HotPathCounters,
-    regimes: Vec<(String, RegimeCounters)>,
-    devices: Vec<(String, DeviceCounters)>,
+    regimes: Vec<(Arc<str>, RegimeCounters)>,
+    devices: Vec<(Arc<str>, DeviceCounters)>,
 }
 
 impl Metrics {
@@ -145,28 +149,30 @@ impl Metrics {
     }
 
     /// Registers (or renames) regime `idx`.
-    pub fn register_regime(&mut self, idx: usize, name: &str) {
+    pub fn register_regime(&mut self, idx: usize, name: impl Into<Arc<str>>) {
         self.grow_regimes(idx);
-        self.regimes[idx].0 = name.to_string();
+        self.regimes[idx].0 = name.into();
     }
 
     /// Registers (or renames) device `idx`.
-    pub fn register_device(&mut self, idx: usize, name: &str) {
+    pub fn register_device(&mut self, idx: usize, name: impl Into<Arc<str>>) {
         self.grow_devices(idx);
-        self.devices[idx].0 = name.to_string();
+        self.devices[idx].0 = name.into();
     }
 
     fn grow_regimes(&mut self, idx: usize) {
         while self.regimes.len() <= idx {
             let placeholder = format!("regime{}", self.regimes.len());
-            self.regimes.push((placeholder, RegimeCounters::default()));
+            self.regimes
+                .push((placeholder.into(), RegimeCounters::default()));
         }
     }
 
     fn grow_devices(&mut self, idx: usize) {
         while self.devices.len() <= idx {
             let placeholder = format!("device{}", self.devices.len());
-            self.devices.push((placeholder, DeviceCounters::default()));
+            self.devices
+                .push((placeholder.into(), DeviceCounters::default()));
         }
     }
 
@@ -189,12 +195,12 @@ impl Metrics {
     }
 
     /// Registered regimes as `(name, counters)`, in index order.
-    pub fn regimes(&self) -> &[(String, RegimeCounters)] {
+    pub fn regimes(&self) -> &[(Arc<str>, RegimeCounters)] {
         &self.regimes
     }
 
     /// Registered devices as `(name, counters)`, in index order.
-    pub fn devices(&self) -> &[(String, DeviceCounters)] {
+    pub fn devices(&self) -> &[(Arc<str>, DeviceCounters)] {
         &self.devices
     }
 
@@ -213,7 +219,7 @@ mod tests {
         let mut m = Metrics::new();
         m.regime_mut(2).instructions += 1;
         assert_eq!(m.regimes().len(), 3);
-        assert_eq!(m.regimes()[2].0, "regime2");
+        assert_eq!(&*m.regimes()[2].0, "regime2");
         assert_eq!(m.regime(2).unwrap().instructions, 1);
     }
 
@@ -224,8 +230,8 @@ mod tests {
         m.register_regime(1, "black");
         m.register_device(0, "red-tty0");
         m.regime_mut(1).channel_bytes_sent += 7;
-        assert_eq!(m.regimes()[1].0, "black");
-        assert_eq!(m.devices()[0].0, "red-tty0");
+        assert_eq!(&*m.regimes()[1].0, "black");
+        assert_eq!(&*m.devices()[0].0, "red-tty0");
         assert_eq!(m.regime(1).unwrap().channel_bytes_sent, 7);
     }
 
