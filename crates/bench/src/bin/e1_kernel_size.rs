@@ -13,14 +13,14 @@ use sep_kernel::kernel::SeparationKernel;
 use sep_obs::RunReport;
 use sep_policy::level::{Classification, SecurityLevel};
 
-/// Counts non-empty, non-comment source lines, excluding test modules.
-fn loc(src: &str) -> usize {
-    src.split("#[cfg(test)]")
-        .next()
-        .unwrap_or("")
-        .lines()
+/// Counts non-empty, non-comment source lines of each file, excluding its
+/// test module (everything from its first `#[cfg(test)]`), and sums them.
+fn loc(files: &[&str]) -> usize {
+    files
+        .iter()
+        .flat_map(|src| src.split("#[cfg(test)]").next().unwrap_or("").lines())
         .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with("//!"))
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
         .count()
 }
 
@@ -58,30 +58,30 @@ fn main() {
 
     // Static mechanism size (non-comment source lines of the enforcing
     // mechanism itself).
-    let sep_kernel_src = concat!(
+    let sep_kernel_src = [
         include_str!("../../../kernel/src/kernel.rs"),
         include_str!("../../../kernel/src/channel.rs"),
         include_str!("../../../kernel/src/regime.rs"),
-    );
-    let conv_src = concat!(
+    ];
+    let conv_src = [
         include_str!("../../../kernel/src/conventional.rs"),
         include_str!("../../../policy/src/blp.rs"),
-    );
+    ];
     println!("## mechanism size and TCB composition\n");
     println!("(the conventional figure is its *policy engine only* — it would still");
     println!("need everything in the separation column to actually isolate processes)\n");
     header(&["kernel", "LoC", "of which policy", "syscall kinds", "TCB"]);
     row(&[
         "separation (SUE-style)".into(),
-        loc(sep_kernel_src).to_string(),
+        loc(&sep_kernel_src).to_string(),
         "0".into(),
         "5 (SWAP, SEND, RECV, POLL, MYID)".into(),
         "kernel only".into(),
     ]);
     row(&[
         "conventional policy engine (KSOS-style)".into(),
-        loc(conv_src).to_string(),
-        loc(conv_src).to_string(),
+        loc(&conv_src).to_string(),
+        loc(&conv_src).to_string(),
         "7 (create/read/write/append/delete/list/set-level)".into(),
         "kernel + every trusted process".into(),
     ]);
@@ -198,4 +198,17 @@ buf:    .blkw 4
         "\nwrote {out} ({} instructions retired; wall clock kept apart)",
         sep_timing.instructions
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::loc;
+
+    #[test]
+    fn every_file_counts_up_to_its_own_test_module() {
+        let a = "fn a() {}\n// note\n\n#[cfg(test)]\nmod tests {}\n";
+        let b = "fn b() {\n}\n#[cfg(test)]\nmod tests { fn t() {} }\n";
+        assert_eq!(loc(&[a]), 1);
+        assert_eq!(loc(&[a, b]), 3);
+    }
 }

@@ -131,25 +131,15 @@ pub struct RegimeComponent {
     component: Box<dyn Component>,
     bindings: Vec<PortBinding>,
     round: u64,
-    /// Frames received but not yet claimed by a `recv` on the right port.
-    stash: Vec<(usize, VecDeque<Vec<u8>>)>,
 }
 
 impl RegimeComponent {
     /// Wraps a component with its port-to-channel map.
     pub fn new(component: Box<dyn Component>, bindings: Vec<PortBinding>) -> Box<RegimeComponent> {
-        let stash = bindings
-            .iter()
-            .filter_map(|b| match b {
-                PortBinding::Recv { channel, .. } => Some((*channel, VecDeque::new())),
-                PortBinding::Send { .. } => None,
-            })
-            .collect();
         Box::new(RegimeComponent {
             component,
             bindings,
             round: 0,
-            stash,
         })
     }
 }
@@ -171,7 +161,6 @@ impl NativeRegime for RegimeComponent {
             component: self.component.boxed_clone(),
             bindings: self.bindings.clone(),
             round: self.round,
-            stash: self.stash.clone(),
         })
     }
 

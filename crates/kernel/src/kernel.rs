@@ -732,18 +732,12 @@ impl SeparationKernel {
                 KernelEvent::Executed
             }
             Event::Wait => {
-                self.regimes[r].instr_since_yield = 0;
                 if self.regimes[r].pending_irqs.is_empty() {
                     self.regimes[r].status = RegimeStatus::Waiting;
-                    if self.sched.padded() && self.quantum_left > 0 {
-                        self.slot_idle_left = self.quantum_left;
-                        return KernelEvent::Executed;
-                    }
-                    if let Some(next) = self.next_runnable() {
-                        self.switch_to(next);
-                        return KernelEvent::Swapped { from: r, to: next };
-                    }
+                    return self.yield_slot(r).unwrap_or(KernelEvent::Executed);
                 }
+                // An interrupt is already pending: WAIT falls through.
+                self.regimes[r].instr_since_yield = 0;
                 KernelEvent::Executed
             }
             Event::Trap(Trap::TrapInstr(n)) => self.syscall(r, n),
@@ -921,26 +915,19 @@ impl SeparationKernel {
     fn syscall(&mut self, r: usize, n: u8) -> KernelEvent {
         self.note_syscall(r, n);
         match n {
-            0 => {
-                // SWAP: voluntary yield.
-                self.regimes[r].instr_since_yield = 0;
-                if self.sched.padded() && self.quantum_left > 0 {
-                    // Pad the slot: nobody gets the donated time.
-                    self.slot_idle_left = self.quantum_left;
-                    return KernelEvent::Syscall { regime: r, trap: 0 };
-                }
-                if let Some(next) = self.next_runnable() {
-                    self.switch_to(next);
-                    return KernelEvent::Swapped { from: r, to: next };
-                }
-                KernelEvent::Syscall { regime: r, trap: 0 }
-            }
+            0 => self
+                .yield_slot(r)
+                .unwrap_or(KernelEvent::Syscall { regime: r, trap: 0 }),
             1 => {
                 // SEND: R0 = channel, R1 = buffer, R2 = length.
                 let chan = self.machine.cpu.reg(0) as usize;
                 let buf = self.machine.cpu.reg(1);
                 let len = self.machine.cpu.reg(2) as usize;
-                let status = self.do_send(r, chan, buf, len);
+                let status = self.send(r, chan, len, |m| {
+                    (0..len)
+                        .map(|i| m.read_byte_v(buf.wrapping_add(i as Word)).ok())
+                        .collect()
+                });
                 self.machine.cpu.set_reg(0, status.code());
                 KernelEvent::Syscall { regime: r, trap: 1 }
             }
@@ -952,7 +939,7 @@ impl SeparationKernel {
                 let chan = self.machine.cpu.reg(0) as usize;
                 let buf = self.machine.cpu.reg(1);
                 let maxlen = self.machine.cpu.reg(2) as usize;
-                let (status, len) = self.do_recv(r, chan, buf, maxlen);
+                let (status, len) = self.recv_into(r, chan, buf, maxlen);
                 self.machine.cpu.set_reg(0, status.code());
                 self.machine.cpu.set_reg(2, len as Word);
                 KernelEvent::Syscall { regime: r, trap: 2 }
@@ -962,13 +949,10 @@ impl SeparationKernel {
                 // 0o177776 for a receiver whose drained channel will never
                 // fill again because its sender is permanently down).
                 let chan = self.machine.cpu.reg(0) as usize;
-                let me = self.regimes[r].logical_id;
-                let count = match self.channels.get(chan).and_then(|c| c.poll(me)) {
-                    Some(0) if self.channels[chan].spec.to == me && self.sender_down(chan) => {
-                        0o177776
-                    }
-                    Some(n) => n as Word,
-                    None => 0o177777,
+                let count = match self.poll(r, chan) {
+                    Ok(n) => n as Word,
+                    Err(ChannelStatus::PeerDown) => 0o177776,
+                    Err(_) => 0o177777,
                 };
                 self.machine.cpu.set_reg(0, count);
                 KernelEvent::Syscall { regime: r, trap: 3 }
@@ -983,24 +967,39 @@ impl SeparationKernel {
         }
     }
 
-    fn do_send(&mut self, r: usize, chan: usize, buf: Word, len: usize) -> ChannelStatus {
-        if len > MAX_MSG {
+    /// SWAP, the voluntary yield, for both regime kinds and WAIT: under a
+    /// padded (fixed-slot) policy the rest of the slot is burned idle —
+    /// nobody gets the donated time — otherwise control passes to the next
+    /// runnable regime. `None` when `r` keeps the CPU.
+    fn yield_slot(&mut self, r: usize) -> Option<KernelEvent> {
+        self.regimes[r].instr_since_yield = 0;
+        if self.sched.padded() && self.quantum_left > 0 {
+            self.slot_idle_left = self.quantum_left;
+            return None;
+        }
+        let next = self.next_runnable()?;
+        self.switch_to(next);
+        Some(KernelEvent::Swapped { from: r, to: next })
+    }
+
+    /// SEND, for both regime kinds. `r` must be `chan`'s sender and `len`
+    /// at most [`MAX_MSG`] before `take` gathers a byte: a machine-code
+    /// buffer in the device window has read side effects. `take` returns
+    /// `None` for an unreadable buffer.
+    fn send(
+        &mut self,
+        r: usize,
+        chan: usize,
+        len: usize,
+        take: impl FnOnce(&mut Machine) -> Option<Vec<u8>>,
+    ) -> ChannelStatus {
+        let me = self.regimes[r].logical_id;
+        if len > MAX_MSG || self.channels.get(chan).is_none_or(|c| c.spec.from != me) {
             return ChannelStatus::Invalid;
         }
-        let me = self.regimes[r].logical_id;
-        let Some(channel) = self.channels.get(chan) else {
+        let Some(bytes) = take(&mut self.machine) else {
             return ChannelStatus::Invalid;
         };
-        if channel.spec.from != me {
-            return ChannelStatus::Invalid;
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for i in 0..len {
-            match self.machine.read_byte_v(buf.wrapping_add(i as Word)) {
-                Ok(b) => bytes.push(b),
-                Err(_) => return ChannelStatus::Invalid,
-            }
-        }
         let status = self.channels[chan].send(me, bytes);
         if status == ChannelStatus::Ok {
             self.stats.messages_sent += 1;
@@ -1068,31 +1067,43 @@ impl SeparationKernel {
             })
     }
 
-    fn do_recv(
+    /// RECV's first half, for both regime kinds: the head message of a
+    /// channel `r` receives on, or why there is none. An empty queue whose
+    /// sender is permanently down is reported apart from a transiently
+    /// empty one: nothing will ever arrive.
+    fn recv_peek(&self, r: usize, chan: usize) -> Result<&[u8], ChannelStatus> {
+        let me = self.regimes[r].logical_id;
+        let channel = self.channels.get(chan).ok_or(ChannelStatus::Invalid)?;
+        match channel.peek(me) {
+            Err(ChannelStatus::Empty) if self.sender_down(chan) => Err(ChannelStatus::PeerDown),
+            peeked => peeked,
+        }
+    }
+
+    /// RECV's second half, once `len` bytes of the peeked head message
+    /// have been delivered: dequeues it and accounts for the delivery.
+    fn recv_commit(&mut self, r: usize, chan: usize, len: usize) -> Vec<u8> {
+        let me = self.regimes[r].logical_id;
+        let msg = self.channels[chan]
+            .recv(me)
+            .expect("peeked message still queued");
+        self.stats.bytes_copied += len as u64;
+        self.note_channel_recv(r, chan, len);
+        msg
+    }
+
+    /// Machine-code RECV into the buffer at `buf`, truncating to `maxlen`.
+    /// The head message is only dequeued once every byte has landed, so a
+    /// bad buffer leaves the queue intact and the message redeliverable.
+    fn recv_into(
         &mut self,
         r: usize,
         chan: usize,
         buf: Word,
         maxlen: usize,
     ) -> (ChannelStatus, usize) {
-        let me = self.regimes[r].logical_id;
-        let Some(channel) = self.channels.get(chan) else {
-            return (ChannelStatus::Invalid, 0);
-        };
-        // Stage the copy before consuming: the head message is only popped
-        // once every byte has landed, so a bad buffer leaves the queue
-        // intact and the message redeliverable.
-        let msg = match channel.peek(me) {
-            Ok(m) => {
-                let mut m = m.to_vec();
-                m.truncate(maxlen);
-                m
-            }
-            // An empty queue whose sender is permanently down is reported
-            // apart from a transiently empty one: nothing will ever arrive.
-            Err(ChannelStatus::Empty) if self.sender_down(chan) => {
-                return (ChannelStatus::PeerDown, 0)
-            }
+        let msg = match self.recv_peek(r, chan) {
+            Ok(m) => m[..m.len().min(maxlen)].to_vec(),
             Err(status) => return (status, 0),
         };
         for (i, b) in msg.iter().enumerate() {
@@ -1104,12 +1115,22 @@ impl SeparationKernel {
                 return (ChannelStatus::Invalid, 0);
             }
         }
-        self.channels[chan]
-            .recv(me)
-            .expect("peeked message still queued");
-        self.stats.bytes_copied += msg.len() as u64;
-        self.note_channel_recv(r, chan, msg.len());
+        self.recv_commit(r, chan, msg.len());
         (ChannelStatus::Ok, msg.len())
+    }
+
+    /// POLL, for both regime kinds: the queue depth `r` may observe on
+    /// `chan`; `Invalid` when `r` is neither end, `PeerDown` for a receiver
+    /// whose drained channel will never fill again.
+    fn poll(&self, r: usize, chan: usize) -> Result<usize, ChannelStatus> {
+        let me = self.regimes[r].logical_id;
+        match self.channels.get(chan).and_then(|c| c.poll(me)) {
+            Some(0) if self.channels[chan].spec.to == me && self.sender_down(chan) => {
+                Err(ChannelStatus::PeerDown)
+            }
+            Some(n) => Ok(n),
+            None => Err(ChannelStatus::Invalid),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1272,17 +1293,8 @@ impl SeparationKernel {
         match action {
             NativeAction::Continue => KernelEvent::NativeStep,
             NativeAction::Swap => {
-                self.regimes[r].instr_since_yield = 0;
                 self.note_syscall(r, 0);
-                if self.sched.padded() && self.quantum_left > 0 {
-                    self.slot_idle_left = self.quantum_left;
-                    return KernelEvent::NativeStep;
-                }
-                if let Some(next) = self.next_runnable() {
-                    self.switch_to(next);
-                    return KernelEvent::Swapped { from: r, to: next };
-                }
-                KernelEvent::NativeStep
+                self.yield_slot(r).unwrap_or(KernelEvent::NativeStep)
             }
             NativeAction::Halt => {
                 self.regimes[r].status = RegimeStatus::Halted;
@@ -1317,16 +1329,6 @@ impl SeparationKernel {
                     .map(SerialLine::host_take_output)
             })
             .unwrap_or_default()
-    }
-
-    /// The machine device index of a regime's device `slot_pos` (its
-    /// position in the regime's device list).
-    pub fn device_index(&self, regime: usize, slot_pos: usize) -> Option<usize> {
-        self.regimes
-            .get(regime)?
-            .devices
-            .get(slot_pos)
-            .map(|b| b.machine_index)
     }
 
     fn first_serial(&mut self, regime: usize) -> Option<usize> {
@@ -1646,45 +1648,17 @@ impl RegimeIo for KernelIo<'_> {
     }
 
     fn send(&mut self, channel: usize, msg: &[u8]) -> ChannelStatus {
-        let me = self.kernel.regimes[self.regime].logical_id;
-        let Some(ch) = self.kernel.channels.get_mut(channel) else {
-            return ChannelStatus::Invalid;
-        };
-        let status = ch.send(me, msg.to_vec());
-        if status == ChannelStatus::Ok {
-            self.kernel.stats.messages_sent += 1;
-            self.kernel.stats.bytes_copied += msg.len() as u64;
-            self.kernel
-                .note_channel_send(self.regime, channel, msg.len());
-        }
-        status
+        self.kernel
+            .send(self.regime, channel, msg.len(), |_| Some(msg.to_vec()))
     }
 
     fn recv(&mut self, channel: usize) -> Result<Vec<u8>, ChannelStatus> {
-        let me = self.kernel.regimes[self.regime].logical_id;
-        let result = match self.kernel.channels.get_mut(channel) {
-            Some(ch) => ch.recv(me),
-            None => Err(ChannelStatus::Invalid),
-        };
-        match result {
-            Ok(msg) => {
-                self.kernel.stats.bytes_copied += msg.len() as u64;
-                self.kernel
-                    .note_channel_recv(self.regime, channel, msg.len());
-                Ok(msg)
-            }
-            // Native regimes get the same distinction machine-code ones do:
-            // empty-forever (sender permanently down) is not empty-for-now.
-            Err(ChannelStatus::Empty) if self.kernel.sender_down(channel) => {
-                Err(ChannelStatus::PeerDown)
-            }
-            Err(status) => Err(status),
-        }
+        let len = self.kernel.recv_peek(self.regime, channel)?.len();
+        Ok(self.kernel.recv_commit(self.regime, channel, len))
     }
 
-    fn poll(&self, channel: usize) -> Option<usize> {
-        let me = self.kernel.regimes[self.regime].logical_id;
-        self.kernel.channels.get(channel).and_then(|c| c.poll(me))
+    fn poll(&self, channel: usize) -> Result<usize, ChannelStatus> {
+        self.kernel.poll(self.regime, channel)
     }
 
     fn read_device(&mut self, slot: usize, offset: u32) -> Option<Word> {

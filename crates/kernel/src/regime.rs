@@ -275,8 +275,10 @@ pub trait RegimeIo {
     /// Receives a message from a channel (must be its declared receiver).
     fn recv(&mut self, channel: usize) -> Result<Vec<u8>, ChannelStatus>;
 
-    /// Number of messages waiting on a channel this regime may observe.
-    fn poll(&self, channel: usize) -> Option<usize>;
+    /// Number of messages waiting on a channel this regime may observe:
+    /// `Invalid` when it is neither end, `PeerDown` when it receives on a
+    /// drained channel whose sender is permanently down (the POLL call).
+    fn poll(&self, channel: usize) -> Result<usize, ChannelStatus>;
 
     /// Reads a register of this regime's device `slot`.
     fn read_device(&mut self, slot: usize, offset: u32) -> Option<Word>;

@@ -1,8 +1,8 @@
 //! Regression tests for the kernel bugfix sweep. Each test fails on the
 //! pre-fix kernel:
 //!
-//! * `do_recv` used to dequeue before copying, so a bad destination buffer
-//!   destroyed the message (and left a partial prefix behind);
+//! * machine-code RECV used to dequeue before copying, so a bad destination
+//!   buffer destroyed the message (and left a partial prefix behind);
 //! * `deliver_interrupt` used to count a discarded interrupt (handler 0)
 //!   as delivered, overcounting E8;
 //! * a native regime's SWAP used to bump only `stats.syscalls[0]`,

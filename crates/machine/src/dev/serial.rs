@@ -103,11 +103,6 @@ impl SerialLine {
         &self.tx_out
     }
 
-    /// Number of bytes waiting to be received by the CPU.
-    pub fn host_rx_backlog(&self) -> usize {
-        self.rx_queue.len() + usize::from(self.rx_done)
-    }
-
     /// Enables or disables the receive interrupt (as the CPU would by
     /// setting RCSR bit 6); exposed for test harnesses.
     pub fn set_rx_interrupt(&mut self, enable: bool) {

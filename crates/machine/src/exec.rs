@@ -17,7 +17,7 @@ use crate::psw::Psw;
 use crate::superblock::{
     SbOp, SbTerm, SuperBlock, SuperCache, HOT_THRESHOLD, MAX_BLOCK_OPS, NO_SUCC,
 };
-use crate::types::{is_neg_b, is_neg_w, sign_extend_byte, PhysAddr, Word, SIGN_W};
+use crate::types::{is_neg_b, sign_extend_byte, PhysAddr, Word, SIGN_B, SIGN_W};
 use sep_obs::{ObsEvent, Recorder, TrapKind, NO_CONTEXT};
 
 /// A condition that transfers control to the kernel.
@@ -573,7 +573,7 @@ impl Machine {
                             SbOp::RegReg { op, src, dst } => {
                                 let s = self.cpu.r[src as usize];
                                 let d = self.cpu.r[dst as usize];
-                                let (wb, (n, z, v, c)) = alu2_w(op, s, d, self.cpu.psw.c());
+                                let (wb, (n, z, v, c)) = alu2::<false>(op, s, d, self.cpu.psw.c());
                                 if let Some(r) = wb {
                                     self.cpu.r[dst as usize] = r;
                                 }
@@ -582,7 +582,8 @@ impl Machine {
                             }
                             SbOp::ImmReg { op, imm, dst } => {
                                 let d = self.cpu.r[dst as usize];
-                                let (wb, (n, z, v, c)) = alu2_w(op, imm, d, self.cpu.psw.c());
+                                let (wb, (n, z, v, c)) =
+                                    alu2::<false>(op, imm, d, self.cpu.psw.c());
                                 if let Some(r) = wb {
                                     self.cpu.r[dst as usize] = r;
                                 }
@@ -592,7 +593,7 @@ impl Machine {
                             SbOp::OneReg { op, reg } => {
                                 let d = self.cpu.r[reg as usize];
                                 let (wb, (n, z, v, c)) =
-                                    alu1_w(op, d, self.cpu.psw.n(), self.cpu.psw.c());
+                                    alu1::<false>(op, d, self.cpu.psw.n(), self.cpu.psw.c());
                                 if let Some(r) = wb {
                                     self.cpu.r[reg as usize] = r;
                                 }
@@ -1056,7 +1057,7 @@ impl Machine {
             Cached::RegReg { op, src, dst } => {
                 let s = self.cpu.reg(src);
                 let d = self.cpu.reg(dst);
-                let (wb, (n, z, v, c)) = alu2_w(op, s, d, self.cpu.psw.c());
+                let (wb, (n, z, v, c)) = alu2::<false>(op, s, d, self.cpu.psw.c());
                 if let Some(r) = wb {
                     self.cpu.set_reg(dst, r);
                 }
@@ -1066,7 +1067,7 @@ impl Machine {
             Cached::ImmReg { op, dst } => {
                 let s = self.read_imm()?;
                 let d = self.cpu.reg(dst);
-                let (wb, (n, z, v, c)) = alu2_w(op, s, d, self.cpu.psw.c());
+                let (wb, (n, z, v, c)) = alu2::<false>(op, s, d, self.cpu.psw.c());
                 if let Some(r) = wb {
                     self.cpu.set_reg(dst, r);
                 }
@@ -1075,7 +1076,7 @@ impl Machine {
             }
             Cached::OneReg { op, reg } => {
                 let d = self.cpu.reg(reg);
-                let (wb, (n, z, v, c)) = alu1_w(op, d, self.cpu.psw.n(), self.cpu.psw.c());
+                let (wb, (n, z, v, c)) = alu1::<false>(op, d, self.cpu.psw.n(), self.cpu.psw.c());
                 if let Some(r) = wb {
                     self.cpu.set_reg(reg, r);
                 }
@@ -1092,8 +1093,21 @@ impl Machine {
 
     fn dispatch(&mut self, word: Word, instr: Instr) -> Result<Event, Trap> {
         match instr {
-            Instr::Double { op, byte, src, dst } => self.exec_double(op, byte, src, dst)?,
-            Instr::Single { op, byte, dst } => self.exec_single(op, byte, dst)?,
+            Instr::Double { op, byte, src, dst } => {
+                if byte {
+                    self.exec_double::<true>(op, src, dst)?
+                } else {
+                    self.exec_double::<false>(op, src, dst)?
+                }
+            }
+            // SWAB and SXT are word-only: their byte bit selects nothing.
+            Instr::Single { op, byte, dst } => {
+                if byte && !matches!(op, UnOp::Swab | UnOp::Sxt) {
+                    self.exec_single::<true>(op, dst)?
+                } else {
+                    self.exec_single::<false>(op, dst)?
+                }
+            }
             Instr::Branch { cond, offset } => self.exec_branch(cond, offset),
             Instr::Jmp { dst } => {
                 let place = self.resolve(dst, false)?;
@@ -1130,8 +1144,8 @@ impl Machine {
             Instr::Ash { reg, src } => self.exec_ash(reg, src)?,
             Instr::Xor { reg, dst } => {
                 let place = self.resolve(dst, false)?;
-                let v = self.read_place_w(place)? ^ self.cpu.reg(reg);
-                self.write_place_w(place, v)?;
+                let v = self.read_place::<false>(place)? ^ self.cpu.reg(reg);
+                self.write_place::<false>(place, v)?;
                 let c = self.cpu.psw.c();
                 self.cpu.psw.set_nz_w(v, false, c);
             }
@@ -1213,223 +1227,77 @@ impl Machine {
         })
     }
 
-    fn read_place_w(&mut self, p: Place) -> Result<Word, Trap> {
+    /// Reads an operand at width `B` (byte when true), zero-extended.
+    fn read_place<const B: bool>(&mut self, p: Place) -> Result<Word, Trap> {
         match p {
+            Place::Reg(r) if B => Ok(self.cpu.reg(r) & 0xFF),
             Place::Reg(r) => Ok(self.cpu.reg(r)),
+            Place::Mem(a) if B => self.read_byte_v(a).map(Word::from),
             Place::Mem(a) => self.read_word_v(a),
         }
     }
 
-    fn write_place_w(&mut self, p: Place, v: Word) -> Result<(), Trap> {
+    /// Writes an operand at width `B`; a byte write to a register leaves
+    /// its high byte alone.
+    fn write_place<const B: bool>(&mut self, p: Place, v: Word) -> Result<(), Trap> {
         match p {
             Place::Reg(r) => {
+                let v = if B { (self.cpu.reg(r) & 0xFF00) | v } else { v };
                 self.cpu.set_reg(r, v);
                 Ok(())
             }
+            Place::Mem(a) if B => self.write_byte_v(a, v as u8),
             Place::Mem(a) => self.write_word_v(a, v),
         }
     }
 
-    fn read_place_b(&mut self, p: Place) -> Result<u8, Trap> {
-        match p {
-            Place::Reg(r) => Ok((self.cpu.reg(r) & 0xFF) as u8),
-            Place::Mem(a) => self.read_byte_v(a),
-        }
-    }
-
-    fn write_place_b(&mut self, p: Place, v: u8) -> Result<(), Trap> {
-        match p {
-            Place::Reg(r) => {
-                let old = self.cpu.reg(r);
-                self.cpu.set_reg(r, (old & 0xFF00) | v as Word);
-                Ok(())
-            }
-            Place::Mem(a) => self.write_byte_v(a, v),
-        }
-    }
-
-    fn exec_double(
+    /// A double-operand op at width `B` (byte when true).
+    fn exec_double<const B: bool>(
         &mut self,
         op: BinOp,
-        byte: bool,
         src: Operand,
         dst: Operand,
     ) -> Result<(), Trap> {
-        if byte {
-            return self.exec_double_b(op, src, dst);
-        }
         let s = {
-            let sp = self.resolve(src, false)?;
-            self.read_place_w(sp)?
+            let sp = self.resolve(src, B)?;
+            self.read_place::<B>(sp)?
         };
-        let dp = self.resolve(dst, false)?;
+        let dp = self.resolve(dst, B)?;
         // MOV writes without reading its destination — significant when the
         // destination is a memory operand with read side effects.
         let d = if op == BinOp::Mov {
             0
         } else {
-            self.read_place_w(dp)?
+            self.read_place::<B>(dp)?
         };
-        let (wb, (n, z, v, c)) = alu2_w(op, s, d, self.cpu.psw.c());
-        if let Some(r) = wb {
-            self.write_place_w(dp, r)?;
+        let (wb, (n, z, v, c)) = alu2::<B>(op, s, d, self.cpu.psw.c());
+        match (wb, dp) {
+            // MOVB to a register sign-extends, per the hardware.
+            (Some(r), Place::Reg(reg)) if B && op == BinOp::Mov => {
+                self.cpu.set_reg(reg, sign_extend_byte(r as u8));
+            }
+            (Some(r), _) => self.write_place::<B>(dp, r)?,
+            (None, _) => {}
         }
         self.cpu.psw.set_nzvc(n, z, v, c);
         Ok(())
     }
 
-    fn exec_double_b(&mut self, op: BinOp, src: Operand, dst: Operand) -> Result<(), Trap> {
-        let s = {
-            let sp = self.resolve(src, true)?;
-            self.read_place_b(sp)?
-        };
-        let dp = self.resolve(dst, true)?;
-        let c = self.cpu.psw.c();
-        match op {
-            BinOp::Mov => {
-                // MOVB to a register sign-extends, per the hardware.
-                if let Place::Reg(r) = dp {
-                    self.cpu.set_reg(r, sign_extend_byte(s));
-                } else {
-                    self.write_place_b(dp, s)?;
-                }
-                self.cpu.psw.set_nzvc(is_neg_b(s), s == 0, false, c);
-            }
-            BinOp::Cmp => {
-                let d = self.read_place_b(dp)?;
-                let r = s.wrapping_sub(d);
-                let v = (is_neg_b(s) != is_neg_b(d)) && (is_neg_b(r) == is_neg_b(d));
-                let borrow = s < d;
-                self.cpu.psw.set_nzvc(is_neg_b(r), r == 0, v, borrow);
-            }
-            BinOp::Bit => {
-                let d = self.read_place_b(dp)?;
-                let r = s & d;
-                self.cpu.psw.set_nzvc(is_neg_b(r), r == 0, false, c);
-            }
-            BinOp::Bic => {
-                let d = self.read_place_b(dp)?;
-                let r = d & !s;
-                self.write_place_b(dp, r)?;
-                self.cpu.psw.set_nzvc(is_neg_b(r), r == 0, false, c);
-            }
-            BinOp::Bis => {
-                let d = self.read_place_b(dp)?;
-                let r = d | s;
-                self.write_place_b(dp, r)?;
-                self.cpu.psw.set_nzvc(is_neg_b(r), r == 0, false, c);
-            }
-            BinOp::Add | BinOp::Sub => unreachable!("ADD/SUB have no byte form"),
-        }
-        Ok(())
-    }
-
-    fn exec_single(&mut self, op: UnOp, byte: bool, dst: Operand) -> Result<(), Trap> {
-        if byte && !matches!(op, UnOp::Swab | UnOp::Sxt) {
-            return self.exec_single_b(op, dst);
-        }
-        let dp = self.resolve(dst, false)?;
+    /// A single-operand op at width `B` (byte when true).
+    fn exec_single<const B: bool>(&mut self, op: UnOp, dst: Operand) -> Result<(), Trap> {
+        let dp = self.resolve(dst, B)?;
         // CLR and SXT write without reading — significant for memory
         // operands with read side effects.
         let d = if matches!(op, UnOp::Clr | UnOp::Sxt) {
             0
         } else {
-            self.read_place_w(dp)?
+            self.read_place::<B>(dp)?
         };
-        let (wb, (n, z, v, c)) = alu1_w(op, d, self.cpu.psw.n(), self.cpu.psw.c());
+        let (wb, (n, z, v, c)) = alu1::<B>(op, d, self.cpu.psw.n(), self.cpu.psw.c());
         if let Some(r) = wb {
-            self.write_place_w(dp, r)?;
+            self.write_place::<B>(dp, r)?;
         }
         self.cpu.psw.set_nzvc(n, z, v, c);
-        Ok(())
-    }
-
-    fn exec_single_b(&mut self, op: UnOp, dst: Operand) -> Result<(), Trap> {
-        let dp = self.resolve(dst, true)?;
-        let c = self.cpu.psw.c();
-        match op {
-            UnOp::Clr => {
-                self.write_place_b(dp, 0)?;
-                self.cpu.psw.set_nzvc(false, true, false, false);
-            }
-            UnOp::Com => {
-                let r = !self.read_place_b(dp)?;
-                self.write_place_b(dp, r)?;
-                self.cpu.psw.set_nzvc(is_neg_b(r), r == 0, false, true);
-            }
-            UnOp::Inc => {
-                let d = self.read_place_b(dp)?;
-                let r = d.wrapping_add(1);
-                self.write_place_b(dp, r)?;
-                self.cpu.psw.set_nzvc(is_neg_b(r), r == 0, d == 0o177, c);
-            }
-            UnOp::Dec => {
-                let d = self.read_place_b(dp)?;
-                let r = d.wrapping_sub(1);
-                self.write_place_b(dp, r)?;
-                self.cpu.psw.set_nzvc(is_neg_b(r), r == 0, d == 0o200, c);
-            }
-            UnOp::Neg => {
-                let r = (self.read_place_b(dp)? as i8).wrapping_neg() as u8;
-                self.write_place_b(dp, r)?;
-                self.cpu
-                    .psw
-                    .set_nzvc(is_neg_b(r), r == 0, r == 0o200, r != 0);
-            }
-            UnOp::Tst => {
-                let d = self.read_place_b(dp)?;
-                self.cpu.psw.set_nzvc(is_neg_b(d), d == 0, false, false);
-            }
-            UnOp::Adc => {
-                let d = self.read_place_b(dp)?;
-                let r = d.wrapping_add(c as u8);
-                self.write_place_b(dp, r)?;
-                self.cpu
-                    .psw
-                    .set_nzvc(is_neg_b(r), r == 0, d == 0o177 && c, d == 0o377 && c);
-            }
-            UnOp::Sbc => {
-                let d = self.read_place_b(dp)?;
-                let r = d.wrapping_sub(c as u8);
-                self.write_place_b(dp, r)?;
-                self.cpu
-                    .psw
-                    .set_nzvc(is_neg_b(r), r == 0, d == 0o200, !(d == 0 && c));
-            }
-            UnOp::Ror => {
-                let d = self.read_place_b(dp)?;
-                let r = (d >> 1) | ((c as u8) << 7);
-                let new_c = d & 1 != 0;
-                self.write_place_b(dp, r)?;
-                let n = is_neg_b(r);
-                self.cpu.psw.set_nzvc(n, r == 0, n ^ new_c, new_c);
-            }
-            UnOp::Rol => {
-                let d = self.read_place_b(dp)?;
-                let r = (d << 1) | c as u8;
-                let new_c = is_neg_b(d);
-                self.write_place_b(dp, r)?;
-                let n = is_neg_b(r);
-                self.cpu.psw.set_nzvc(n, r == 0, n ^ new_c, new_c);
-            }
-            UnOp::Asr => {
-                let d = self.read_place_b(dp)?;
-                let r = ((d as i8) >> 1) as u8;
-                let new_c = d & 1 != 0;
-                self.write_place_b(dp, r)?;
-                let n = is_neg_b(r);
-                self.cpu.psw.set_nzvc(n, r == 0, n ^ new_c, new_c);
-            }
-            UnOp::Asl => {
-                let d = self.read_place_b(dp)?;
-                let r = d << 1;
-                let new_c = is_neg_b(d);
-                self.write_place_b(dp, r)?;
-                let n = is_neg_b(r);
-                self.cpu.psw.set_nzvc(n, r == 0, n ^ new_c, new_c);
-            }
-            UnOp::Swab | UnOp::Sxt => unreachable!("word-only operations"),
-        }
         Ok(())
     }
 
@@ -1444,7 +1312,7 @@ impl Machine {
 
     fn exec_mul(&mut self, reg: u8, src: Operand) -> Result<(), Trap> {
         let sp = self.resolve(src, false)?;
-        let s = self.read_place_w(sp)? as i16 as i32;
+        let s = self.read_place::<false>(sp)? as i16 as i32;
         let r = self.cpu.reg(reg) as i16 as i32;
         let product = r * s;
         if reg & 1 == 0 {
@@ -1460,7 +1328,7 @@ impl Machine {
 
     fn exec_div(&mut self, reg: u8, src: Operand) -> Result<(), Trap> {
         let sp = self.resolve(src, false)?;
-        let s = self.read_place_w(sp)? as i16 as i32;
+        let s = self.read_place::<false>(sp)? as i16 as i32;
         if reg & 1 != 0 {
             // Odd register: undefined on the hardware; we trap it as illegal
             // to keep programs honest.
@@ -1485,7 +1353,7 @@ impl Machine {
 
     fn exec_ash(&mut self, reg: u8, src: Operand) -> Result<(), Trap> {
         let sp = self.resolve(src, false)?;
-        let count = (self.read_place_w(sp)? & 0o77) as i8;
+        let count = (self.read_place::<false>(sp)? & 0o77) as i8;
         // Six-bit signed shift count.
         let count = if count >= 32 { count - 64 } else { count };
         let v = self.cpu.reg(reg) as i16;
@@ -1552,7 +1420,7 @@ fn run_pure_block(cpu: &mut Cpu, ops: &[SbOp], term: SbTerm, entry: Word, max_ru
                 SbOp::RegReg { op, src, dst } => {
                     let s = cpu.r[src as usize];
                     let d = cpu.r[dst as usize];
-                    let (wb, f) = alu2_w(op, s, d, c);
+                    let (wb, f) = alu2::<false>(op, s, d, c);
                     if let Some(r) = wb {
                         cpu.r[dst as usize] = r;
                     }
@@ -1560,7 +1428,7 @@ fn run_pure_block(cpu: &mut Cpu, ops: &[SbOp], term: SbTerm, entry: Word, max_ru
                 }
                 SbOp::ImmReg { op, imm, dst } => {
                     let d = cpu.r[dst as usize];
-                    let (wb, f) = alu2_w(op, imm, d, c);
+                    let (wb, f) = alu2::<false>(op, imm, d, c);
                     if let Some(r) = wb {
                         cpu.r[dst as usize] = r;
                     }
@@ -1568,7 +1436,7 @@ fn run_pure_block(cpu: &mut Cpu, ops: &[SbOp], term: SbTerm, entry: Word, max_ru
                 }
                 SbOp::OneReg { op, reg } => {
                     let d = cpu.r[reg as usize];
-                    let (wb, f) = alu1_w(op, d, n, c);
+                    let (wb, f) = alu1::<false>(op, d, n, c);
                     if let Some(r) = wb {
                         cpu.r[reg as usize] = r;
                     }
@@ -1616,104 +1484,116 @@ fn run_pure_block(cpu: &mut Cpu, ops: &[SbOp], term: SbTerm, entry: Word, max_ru
     runs
 }
 
-/// Word-size double-operand ALU semantics, shared by the generic dispatcher
-/// and the specialized register-direct fast path so the two cannot drift.
-/// Returns the value to write back (`None` for the non-writing CMP/BIT) and
-/// the resulting condition codes. `d` is ignored for MOV — callers must not
-/// *read* a MOV destination, only write it.
+/// The operand mask and sign bit of ALU width `B` (byte when true).
 #[inline]
-fn alu2_w(op: BinOp, s: Word, d: Word, c: bool) -> (Option<Word>, (bool, bool, bool, bool)) {
+const fn width<const B: bool>() -> (Word, Word) {
+    if B {
+        (0xFF, SIGN_B as Word)
+    } else {
+        (0xFFFF, SIGN_W)
+    }
+}
+
+/// Double-operand ALU semantics at width `B` (byte when true), shared by
+/// the generic dispatcher, the specialized register-direct fast path and
+/// both superblock executors, so no two paths or widths can drift. Operands
+/// arrive zero-extended within the width. Returns the value to write back
+/// (`None` for the non-writing CMP/BIT) and the resulting condition codes.
+/// `d` is ignored for MOV — callers must not *read* a MOV destination, only
+/// write it.
+#[inline]
+fn alu2<const B: bool>(
+    op: BinOp,
+    s: Word,
+    d: Word,
+    c: bool,
+) -> (Option<Word>, (bool, bool, bool, bool)) {
+    let (mask, sign) = width::<B>();
+    let neg = |x: Word| x & sign != 0;
     match op {
-        BinOp::Mov => (Some(s), (is_neg_w(s), s == 0, false, c)),
+        BinOp::Mov => (Some(s), (neg(s), s == 0, false, c)),
         BinOp::Cmp => {
-            let r = s.wrapping_sub(d);
-            let v = (is_neg_w(s) != is_neg_w(d)) && (is_neg_w(r) == is_neg_w(d));
-            let borrow = (s as u32) < (d as u32);
-            (None, (is_neg_w(r), r == 0, v, borrow))
+            let r = s.wrapping_sub(d) & mask;
+            let v = (neg(s) != neg(d)) && (neg(r) == neg(d));
+            (None, (neg(r), r == 0, v, s < d))
         }
         BinOp::Bit => {
             let r = s & d;
-            (None, (is_neg_w(r), r == 0, false, c))
+            (None, (neg(r), r == 0, false, c))
         }
         BinOp::Bic => {
             let r = d & !s;
-            (Some(r), (is_neg_w(r), r == 0, false, c))
+            (Some(r), (neg(r), r == 0, false, c))
         }
         BinOp::Bis => {
             let r = d | s;
-            (Some(r), (is_neg_w(r), r == 0, false, c))
+            (Some(r), (neg(r), r == 0, false, c))
         }
         BinOp::Add => {
-            let (r, carry) = d.overflowing_add(s);
-            let v = (is_neg_w(s) == is_neg_w(d)) && (is_neg_w(r) != is_neg_w(d));
-            (Some(r), (is_neg_w(r), r == 0, v, carry))
+            let r = d.wrapping_add(s) & mask;
+            let v = (neg(s) == neg(d)) && (neg(r) != neg(d));
+            let carry = d as u32 + s as u32 > mask as u32;
+            (Some(r), (neg(r), r == 0, v, carry))
         }
         BinOp::Sub => {
-            let r = d.wrapping_sub(s);
-            let v = (is_neg_w(s) != is_neg_w(d)) && (is_neg_w(r) == is_neg_w(s));
-            let borrow = (d as u32) < (s as u32);
-            (Some(r), (is_neg_w(r), r == 0, v, borrow))
+            let r = d.wrapping_sub(s) & mask;
+            let v = (neg(s) != neg(d)) && (neg(r) == neg(s));
+            (Some(r), (neg(r), r == 0, v, d < s))
         }
     }
 }
 
-/// Word-size single-operand ALU semantics, shared like [`alu2_w`]. `n_in`
+/// Single-operand ALU semantics at width `B`, shared like [`alu2`]. `n_in`
 /// is the incoming N flag (SXT materializes it); `d` is ignored for CLR and
-/// SXT — callers must not *read* their destination, only write it.
+/// SXT — callers must not *read* their destination, only write it. SWAB
+/// and SXT are word-only: callers instantiate them at word width.
 #[inline]
-fn alu1_w(op: UnOp, d: Word, n_in: bool, c: bool) -> (Option<Word>, (bool, bool, bool, bool)) {
+fn alu1<const B: bool>(
+    op: UnOp,
+    d: Word,
+    n_in: bool,
+    c: bool,
+) -> (Option<Word>, (bool, bool, bool, bool)) {
+    let (mask, sign) = width::<B>();
+    let neg = |x: Word| x & sign != 0;
     match op {
         UnOp::Clr => (Some(0), (false, true, false, false)),
         UnOp::Com => {
-            let r = !d;
-            (Some(r), (is_neg_w(r), r == 0, false, true))
+            let r = !d & mask;
+            (Some(r), (neg(r), r == 0, false, true))
         }
         UnOp::Inc => {
-            let r = d.wrapping_add(1);
-            (Some(r), (is_neg_w(r), r == 0, d == 0o077777, c))
+            let r = d.wrapping_add(1) & mask;
+            (Some(r), (neg(r), r == 0, d == sign - 1, c))
         }
         UnOp::Dec => {
-            let r = d.wrapping_sub(1);
-            (Some(r), (is_neg_w(r), r == 0, d == SIGN_W, c))
+            let r = d.wrapping_sub(1) & mask;
+            (Some(r), (neg(r), r == 0, d == sign, c))
         }
         UnOp::Neg => {
-            let r = (d as i16).wrapping_neg() as Word;
-            (Some(r), (is_neg_w(r), r == 0, r == SIGN_W, r != 0))
+            let r = d.wrapping_neg() & mask;
+            (Some(r), (neg(r), r == 0, r == sign, r != 0))
         }
         UnOp::Adc => {
-            let r = d.wrapping_add(c as Word);
+            let r = d.wrapping_add(c as Word) & mask;
             (
                 Some(r),
-                (is_neg_w(r), r == 0, d == 0o077777 && c, d == 0o177777 && c),
+                (neg(r), r == 0, d == sign - 1 && c, d == mask && c),
             )
         }
         UnOp::Sbc => {
-            let r = d.wrapping_sub(c as Word);
-            (Some(r), (is_neg_w(r), r == 0, d == SIGN_W, !(d == 0 && c)))
+            let r = d.wrapping_sub(c as Word) & mask;
+            (Some(r), (neg(r), r == 0, d == sign, !(d == 0 && c)))
         }
-        UnOp::Tst => (None, (is_neg_w(d), d == 0, false, false)),
-        UnOp::Ror => {
-            let r = (d >> 1) | ((c as Word) << 15);
-            let new_c = d & 1 != 0;
-            let n = is_neg_w(r);
-            (Some(r), (n, r == 0, n ^ new_c, new_c))
-        }
-        UnOp::Rol => {
-            let r = (d << 1) | c as Word;
-            let new_c = is_neg_w(d);
-            let n = is_neg_w(r);
-            (Some(r), (n, r == 0, n ^ new_c, new_c))
-        }
-        UnOp::Asr => {
-            let r = ((d as i16) >> 1) as Word;
-            let new_c = d & 1 != 0;
-            let n = is_neg_w(r);
-            (Some(r), (n, r == 0, n ^ new_c, new_c))
-        }
-        UnOp::Asl => {
-            let r = d << 1;
-            let new_c = is_neg_w(d);
-            let n = is_neg_w(r);
+        UnOp::Tst => (None, (neg(d), d == 0, false, false)),
+        UnOp::Ror | UnOp::Rol | UnOp::Asr | UnOp::Asl => {
+            let (r, new_c) = match op {
+                UnOp::Ror => ((d >> 1) | if c { sign } else { 0 }, d & 1 != 0),
+                UnOp::Rol => (((d << 1) | c as Word) & mask, neg(d)),
+                UnOp::Asr => ((d >> 1) | (d & sign), d & 1 != 0),
+                _ => ((d << 1) & mask, neg(d)),
+            };
+            let n = neg(r);
             (Some(r), (n, r == 0, n ^ new_c, new_c))
         }
         UnOp::Swab => {
